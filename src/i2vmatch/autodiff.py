@@ -364,6 +364,38 @@ def softmax_rows(a: Tensor) -> Tensor:
     return _record(out, (a,), bw)
 
 
+def group_attention(q: Tensor, k: Tensor, v: Tensor, group: int) -> Tensor:
+    """Softmax attention within consecutive blocks of ``group`` rows.
+
+    Output row i is sum_j softmax_j(q_i . k_j) v_j, with j ranging over the
+    rows of i's block; rows of different blocks never mix. q and k are m*d,
+    v is m*e, and ``group`` must divide m.
+    """
+    qd, kd, vd = (_as2d(t, "group_attention") for t in (q, k, v))
+    m, d = qd.shape
+    if kd.shape != (m, d) or vd.shape[0] != m:
+        raise ShapeError(f"group_attention operands disagree: q {qd.shape}, "
+                         f"k {kd.shape}, v {vd.shape}")
+    if group < 1 or m % group != 0:
+        raise ShapeError(f"group_attention: {m} rows not divisible into groups of {group}")
+    n, e = m // group, vd.shape[1]
+    q3, k3, v3 = qd.reshape(n, group, d), kd.reshape(n, group, d), vd.reshape(n, group, e)
+    logits = q3 @ k3.transpose(0, 2, 1)
+    ex = np.exp(logits - logits.max(axis=2, keepdims=True))
+    att = ex / ex.sum(axis=2, keepdims=True)
+    out = Tensor((att @ v3).reshape(m, e))
+
+    def bw(g):
+        g3 = g.reshape(n, group, e)
+        g_att = g3 @ v3.transpose(0, 2, 1)
+        g_logits = att * (g_att - (g_att * att).sum(axis=2, keepdims=True))
+        return ((g_logits @ k3).reshape(m, d),
+                (g_logits.transpose(0, 2, 1) @ q3).reshape(m, d),
+                (att.transpose(0, 2, 1) @ g3).reshape(m, e))
+
+    return _record(out, (q, k, v), bw)
+
+
 def log_softmax_rows(a: Tensor) -> Tensor:
     """Row-wise log-softmax (numerically stable); exact backward rule."""
     ad = _as2d(a, "log_softmax_rows")

@@ -289,6 +289,8 @@ def load_dataset(path, config: SyntheticConfig | None = None) -> SyntheticDatase
         header = fh.readline().split()
         if not header or header[0] != DATASET_FORMAT:
             raise ValueError(f"not a {DATASET_FORMAT} file: {path}")
+        if len(header) < 2 or not header[1].startswith("dim="):
+            raise ValueError(f"malformed dataset header: {' '.join(header)!r}")
         dim = int(header[1].removeprefix("dim="))
         videos = []
         for line in fh:

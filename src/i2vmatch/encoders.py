@@ -3,11 +3,12 @@
 Both encoders share one trunk design: a small stack of affine+relu layers
 mapping per-frame input vectors to D-dimensional features. The video
 encoder additionally runs non-local attention blocks mid-trunk, mixing
-information across all positions of a clip, and pools spatially then
-temporally. Image and video trunks have identical shapes but independent
-storage; they are initialized from the same random draw so the two
-networks start feature-identical (the attention blocks open as exact
-identities because their output projection starts at zero).
+information across all positions of a clip (never across the clips of a
+batch), and pools spatially then temporally. Image and video trunks have
+identical shapes but independent storage; they are initialized from the
+same random draw so the two networks start feature-identical (the
+attention blocks open as exact identities because their output projection
+starts at zero).
 """
 
 from __future__ import annotations
@@ -20,13 +21,10 @@ from .autodiff import (
     Tensor,
     ShapeError,
     add,
-    concat_rows,
+    group_attention,
     matmul,
     mean_row_groups,
-    mean_rows,
     relu,
-    softmax_rows,
-    transpose,
 )
 
 
@@ -178,9 +176,10 @@ def init_encoder_params(
     return EncoderParams(config, image_layers, video_layers, blocks, seed=seed)
 
 
-def nonlocal_forward(x: Tensor, params: NonLocalParams) -> Tensor:
+def nonlocal_forward(x: Tensor, params: NonLocalParams, group: int | None = None) -> Tensor:
     """Residual attention: each position's output is a softmax-weighted sum
-    of projected features at all positions, added back onto the input."""
+    of projected features at the positions of its group (``group``
+    consecutive rows; all rows when None), added back onto the input."""
     if x.data.ndim != 2 or x.data.shape[1] != params.channels:
         raise ShapeError(
             f"non-local block expects (positions, {params.channels}), got {x.data.shape}"
@@ -188,13 +187,13 @@ def nonlocal_forward(x: Tensor, params: NonLocalParams) -> Tensor:
     theta = matmul(x, params.w_theta)
     phi = matmul(x, params.w_phi)
     g = matmul(x, params.w_g)
-    att = softmax_rows(matmul(theta, transpose(phi)))
-    z = matmul(matmul(att, g), params.w_z)
-    return add(z, x)
+    att_g = group_attention(theta, phi, g, x.data.shape[0] if group is None else group)
+    return add(matmul(att_g, params.w_z), x)
 
 
 def _trunk_forward(x: Tensor, layers: list[AffineLayer],
-                   blocks: list[NonLocalParams] | None = None) -> Tensor:
+                   blocks: list[NonLocalParams] | None = None,
+                   group: int | None = None) -> Tensor:
     h = x
     last = len(layers) - 1
     for i, layer in enumerate(layers):
@@ -204,7 +203,7 @@ def _trunk_forward(x: Tensor, layers: list[AffineLayer],
             if blocks:
                 for blk in blocks:
                     if blk.insert_after == i:
-                        h = nonlocal_forward(h, blk)
+                        h = nonlocal_forward(h, blk, group)
     return h
 
 
@@ -230,24 +229,32 @@ def encode_image(frames: np.ndarray, params: EncoderParams) -> Tensor:
     return feats
 
 
-def encode_video(clip: np.ndarray, params: EncoderParams) -> tuple[Tensor, Tensor]:
-    """Encode one clip of T frames through the video trunk with attention.
+def encode_video(clips: np.ndarray, params: EncoderParams) -> tuple[Tensor, Tensor]:
+    """Encode one clip (T, frame_len) or a batch of N clips (N, T, frame_len)
+    through the video trunk with attention.
 
-    Returns ``(frame_feats, video_feat)``: per-frame features (T, D) after
-    cross-position mixing and spatial pooling, and their temporal average
-    (1, D).
+    The trunk runs once over all N*T positions; attention mixes positions
+    only within their own clip. Returns ``(frame_feats, video_feat)``:
+    per-frame features (N*T, D) in clip-major order, after cross-position
+    mixing and spatial pooling, and each clip's temporal average (N, D).
     """
     config = params.config
-    clip = _check_frames(clip, config, "encode_video")
-    if clip.shape[0] < 1:
+    clips = np.asarray(clips, dtype=np.float64)
+    if clips.ndim == 2:
+        clips = clips[None]
+    if clips.ndim != 3:
+        raise ShapeError(f"encode_video expects (frames, frame_len) or "
+                         f"(clips, frames, frame_len), got {clips.shape}")
+    n, t, flen = clips.shape
+    frames = _check_frames(clips.reshape(n * t, flen), config, "encode_video")
+    if frames.shape[0] < 1:
         raise ShapeError("encode_video needs at least one frame")
     ppf = config.positions_per_frame
-    x = Tensor(clip.reshape(clip.shape[0] * ppf, config.input_dim))
-    feats = _trunk_forward(x, params.video_layers, params.blocks)
+    x = Tensor(frames.reshape(n * t * ppf, config.input_dim))
+    feats = _trunk_forward(x, params.video_layers, params.blocks, group=t * ppf)
     if ppf > 1:
         feats = mean_row_groups(feats, ppf)  # spatial average pooling
-    video_feat = mean_rows(feats)  # temporal average pooling
-    return feats, video_feat
+    return feats, mean_row_groups(feats, t)  # temporal average pooling
 
 
 def encode_clip_batch(
@@ -263,33 +270,5 @@ def encode_clip_batch(
         raise ShapeError(f"expected (clips, frames, frame_len), got {clips.shape}")
     n, t, flen = clips.shape
     image_feats = encode_image(clips.reshape(n * t, flen), params)
-    frame_parts, video_parts = [], []
-    for c in range(n):
-        ff, vf = encode_video(clips[c], params)
-        frame_parts.append(ff)
-        video_parts.append(vf)
-    return image_feats, concat_rows(frame_parts), concat_rows(video_parts)
-
-
-def copy_params(params: EncoderParams) -> EncoderParams:
-    """Deep copy with fresh Tensors (used to freeze a branch)."""
-    def clone_layer(layer: AffineLayer) -> AffineLayer:
-        return AffineLayer(Tensor(layer.w.data.copy(), requires_grad=True),
-                           Tensor(layer.b.data.copy(), requires_grad=True))
-
-    return EncoderParams(
-        config=params.config,
-        image_layers=[clone_layer(l) for l in params.image_layers],
-        video_layers=[clone_layer(l) for l in params.video_layers],
-        blocks=[
-            NonLocalParams(
-                w_theta=Tensor(b.w_theta.data.copy(), requires_grad=True),
-                w_phi=Tensor(b.w_phi.data.copy(), requires_grad=True),
-                w_g=Tensor(b.w_g.data.copy(), requires_grad=True),
-                w_z=Tensor(b.w_z.data.copy(), requires_grad=True),
-                insert_after=b.insert_after,
-            )
-            for b in params.blocks
-        ],
-        seed=params.seed,
-    )
+    frame_feats, video_feats = encode_video(clips, params)
+    return image_feats, frame_feats, video_feats

@@ -4,10 +4,10 @@ Three protocols share one machinery: image-to-video (query = first frame
 of each query video through the image network, gallery = full videos
 through the video network), image-to-image (both sides are first frames),
 and video-to-video (both sides are full videos). Gallery videos are split
-into fixed-length clips, each clip is encoded and pooled, and the video's
-feature is the mean over its clips. Rankings are by Euclidean distance
-with stable index tie-breaking, scored with CMC top-k curves and mean
-average precision.
+into fixed-length clips, the clips are encoded and pooled in bounded
+batches, and the video's feature is the mean over its clips. Rankings are
+by Euclidean distance with stable index tie-breaking, scored with CMC
+top-k curves and mean average precision.
 """
 
 from __future__ import annotations
@@ -22,6 +22,10 @@ from .encoders import EncoderParams, encode_image, encode_video
 
 PROTOCOLS = ("I2V", "I2I", "V2V")
 METRICS_FORMAT = "i2vmatch-metrics/1"
+# bound on the positions (clips x frames x grid cells) encoded in one call
+# while extracting gallery features: batching clips amortizes per-call
+# overhead, the bound keeps peak memory flat for long galleries
+GALLERY_BATCH_POSITIONS = 1024
 
 
 @dataclass
@@ -92,25 +96,29 @@ def split_into_clips(frames: np.ndarray, clip_len: int) -> list[np.ndarray]:
     return clips
 
 
-def _pooled_video_feature(video: VideoRecord, params: EncoderParams,
-                          clip_len: int) -> np.ndarray:
-    feats = []
-    for clip in split_into_clips(video.frames, clip_len):
-        _, vf = encode_video(clip, params)
-        feats.append(vf.data[0])
-    return np.mean(feats, axis=0)
-
-
 def extract_gallery_features(videos: list[VideoRecord], params: EncoderParams,
                              clip_len: int = 32) -> GalleryIndex:
-    """Encode each video as the mean of its per-clip pooled features."""
-    feats, idents, cams = [], [], []
+    """Encode each video as the mean of its per-clip pooled features.
+
+    The clips of consecutive videos go through the video encoder together,
+    at most ``GALLERY_BATCH_POSITIONS`` positions per call, so the encoder's
+    working memory stays bounded however long the gallery is.
+    """
+    clips, counts = [], []
+    for v in videos:
+        parts = split_into_clips(v.frames, clip_len)
+        clips.extend(parts)
+        counts.append(len(parts))
+    per_call = max(1, GALLERY_BATCH_POSITIONS // (clip_len * params.config.positions_per_frame))
+    rows = []
     with no_grad():
-        for v in videos:
-            feats.append(_pooled_video_feature(v, params, clip_len))
-            idents.append(v.identity)
-            cams.append(v.camera)
-    return GalleryIndex(np.asarray(feats), np.asarray(idents), np.asarray(cams))
+        for start in range(0, len(clips), per_call):
+            _, vf = encode_video(np.stack(clips[start:start + per_call]), params)
+            rows.append(vf.data)
+    clip_feats = np.concatenate(rows) if rows else np.zeros((0, params.config.output_dim))
+    feats = [clip_feats[end - c:end].mean(axis=0) for end, c in zip(np.cumsum(counts), counts)]
+    return GalleryIndex(np.asarray(feats), np.asarray([v.identity for v in videos]),
+                        np.asarray([v.camera for v in videos]))
 
 
 def rank_queries(query_feats: np.ndarray, gallery: GalleryIndex) -> np.ndarray:

@@ -381,7 +381,8 @@ def load_checkpoint(path) -> TrainResult:
         lines = fh.read().splitlines()
     if not lines or lines[0] != CHECKPOINT_FORMAT:
         raise ValueError(f"not a {CHECKPOINT_FORMAT} file: {path}")
-    if not lines[1].startswith("config ") or not lines[2].startswith("digest "):
+    if (len(lines) < 3 or not lines[1].startswith("config ")
+            or not lines[2].startswith("digest ")):
         raise ValueError("malformed checkpoint header")
     cfg = RunConfig.from_dict(json.loads(lines[1][len("config "):]))
     stored_digest = lines[2][len("digest "):]
@@ -391,7 +392,7 @@ def load_checkpoint(path) -> TrainResult:
     i = 3
     while i < len(lines) and lines[i] != "end":
         head = lines[i].split()
-        if head[0] != "param" or len(head) != 4:
+        if len(head) != 4 or head[0] != "param":
             raise ValueError(f"malformed parameter header: {lines[i]!r}")
         name, r, c = head[1], int(head[2]), int(head[3])
         block = lines[i + 1:i + 1 + r]
@@ -531,10 +532,8 @@ def _encoder_check(check: str, encoder, clips):
         return (lambda: sum_all(square(encode_image(frames, encoder)))), \
             encoder.image_parameters()
     if check == "video_encoder":
-        clip = clips[0]
-
         def f():
-            ff, vf = encode_video(clip, encoder)
+            ff, vf = encode_video(clips, encoder)
             return sum_all(square(ff)) + sum_all(square(vf))
 
         return f, encoder.video_parameters()
@@ -584,8 +583,10 @@ def apply_axis(cfg: RunConfig, axis: str, value) -> RunConfig:
         flag = value if isinstance(value, bool) else str(value).lower() in ("1", "on", "true")
         return replace(cfg, loss=replace(cfg.loss, bp_to_video=flag))
     if axis == "loss_set":
-        preset = LOSS_SET_PRESETS[str(value)]
-        return replace(cfg, loss=replace(cfg.loss, **preset))
+        if str(value) not in LOSS_SET_PRESETS:
+            raise ValueError(f"unknown loss_set {value!r}; expected one of "
+                             f"{tuple(LOSS_SET_PRESETS)}")
+        return replace(cfg, loss=replace(cfg.loss, **LOSS_SET_PRESETS[str(value)]))
     if axis == "teacher_mode":
         return replace(cfg, teacher_mode=str(value))
     raise ValueError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
@@ -594,9 +595,10 @@ def apply_axis(cfg: RunConfig, axis: str, value) -> RunConfig:
 def sweep(axis: str, values, cfg: RunConfig) -> list[dict]:
     """Train and evaluate one run per axis value; each row carries the
     I2V/I2I/V2V top-1 and mAP for that value."""
+    # every value is validated before the first run starts
+    run_cfgs = [apply_axis(cfg, axis, value) for value in values]
     rows = []
-    for value in values:
-        run_cfg = apply_axis(cfg, axis, value)
+    for value, run_cfg in zip(values, run_cfgs):
         result = train(run_cfg)
         row = {"axis": axis, "value": value}
         for protocol in PROTOCOLS:

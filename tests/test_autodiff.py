@@ -13,6 +13,8 @@ from i2vmatch.autodiff import (
     frobenius_sq,
     gather,
     grad_check,
+    grad_check_params,
+    group_attention,
     log_softmax_rows,
     matmul,
     mean_all,
@@ -262,6 +264,43 @@ def test_gradcheck_pairwise_euclidean(seed):
 
     rep = grad_check(f, rand(rng, 4, 3))
     assert rep.passed, rep
+
+
+def test_group_attention_matches_per_block_softmax():
+    rng = np.random.default_rng(12)
+    q, k, v = rand(rng, 6, 3), rand(rng, 6, 3), rand(rng, 6, 2)
+    out = group_attention(q, k, v, 3).data
+    for s in (slice(0, 3), slice(3, 6)):
+        qs, ks, vs = Tensor(q.data[s]), Tensor(k.data[s]), Tensor(v.data[s])
+        want = matmul(softmax_rows(matmul(qs, transpose(ks))), vs).data
+        np.testing.assert_allclose(out[s], want, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("group", [1, 2, 6], ids=["single", "divisor", "all"])
+def test_gradcheck_group_attention(seed, group):
+    rng = np.random.default_rng(seed)
+    q, k, v = rand(rng, 6, 3), rand(rng, 6, 3), rand(rng, 6, 2)
+    for t in (q, k, v):
+        t.requires_grad = True
+    reports = grad_check_params(
+        lambda: sum_all(ad.square(group_attention(q, k, v, group))),
+        {"q": q, "k": k, "v": v})
+    for name, rep in reports.items():
+        assert rep.passed and rep.max_rel_err <= 1e-6, (name, rep)
+
+
+def test_group_attention_shape_errors():
+    rng = np.random.default_rng(13)
+    q, k, v = rand(rng, 6, 3), rand(rng, 6, 3), rand(rng, 6, 2)
+    with pytest.raises(ShapeError, match="divisible"):
+        group_attention(q, k, v, 4)
+    with pytest.raises(ShapeError, match="divisible"):
+        group_attention(q, k, v, 0)
+    with pytest.raises(ShapeError, match="disagree"):
+        group_attention(q, rand(rng, 6, 2), v, 3)
+    with pytest.raises(ShapeError, match="disagree"):
+        group_attention(q, k, rand(rng, 4, 2), 2)
 
 
 def test_gradcheck_linear_is_exact():

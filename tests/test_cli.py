@@ -112,3 +112,30 @@ def test_cli_validation_failure_exit_code(tmp_path):
 def test_cli_bad_arguments_exit_code():
     assert main(["sweep", "--axis", "bogus", "--values", "1"]) == 1
     assert main(["frobnicate"]) == 1
+
+
+def test_sweep_unknown_loss_set_exits_1(capsys):
+    assert main(["sweep", "--axis", "loss_set", "--values", "bogus"]) == 1
+    err = capsys.readouterr().err
+    assert "bogus" in err and "baseline" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_eval_rejects_header_only_checkpoint(tmp_path, capsys):
+    path = tmp_path / "ckpt.txt"
+    path.write_text("i2vmatch-checkpoint/1\n")
+    assert main(["eval", "--checkpoint", str(path)]) == 1
+    assert "malformed checkpoint header" in capsys.readouterr().err
+
+
+def test_eval_rejects_empty_parameter_header(tmp_path, capsys):
+    cfg = tiny_config_file(tmp_path)
+    run_dir = tmp_path / "run"
+    main(["train", "--config", str(cfg), "--out-dir", str(run_dir)])
+    ckpt = run_dir / "checkpoint.txt"
+    lines = ckpt.read_text().splitlines()
+    lines[3] = ""  # the first "param" line
+    ckpt.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(ckpt)]) == 1
+    assert "malformed parameter header" in capsys.readouterr().err

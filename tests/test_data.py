@@ -258,3 +258,10 @@ def test_load_rejects_truncated_record(tmp_path):
     p.write_text("i2vmatch-dataset/1 dim=3\n0 0 2 1.0 2.0 3.0\n")
     with pytest.raises(ValueError, match="identity 0"):
         load_dataset(p)
+
+
+def test_load_rejects_header_without_dim(tmp_path):
+    p = tmp_path / "nodim.txt"
+    p.write_text("i2vmatch-dataset/1\n0 0 1 1.0\n")
+    with pytest.raises(ValueError, match="malformed dataset header"):
+        load_dataset(p)

@@ -211,6 +211,30 @@ def test_spatial_grid_pooling():
     np.testing.assert_allclose(out, ref, atol=1e-12)
 
 
+@pytest.mark.parametrize("grid", [False, True], ids=["flat", "grid"])
+def test_batched_video_matches_single_clips(grid):
+    cfg = TrunkConfig(input_dim=3, hidden_dims=(6, 6), output_dim=4,
+                      use_spatial_grid=grid, grid_hw=(2, 2))
+    params = init_encoder_params(cfg, num_blocks=2, seed=4)
+    rng = np.random.default_rng(12)
+    for blk in params.blocks:
+        blk.w_z.data = rng.standard_normal(blk.w_z.data.shape)
+    clips = rng.standard_normal((5, 3, cfg.frame_vector_len))
+    frame_feats, video_feats = encode_video(clips, params)
+    assert frame_feats.data.shape == (15, 4) and video_feats.data.shape == (5, 4)
+    for c in range(5):
+        ff, vf = encode_video(clips[c], params)
+        np.testing.assert_allclose(frame_feats.data[3 * c:3 * c + 3], ff.data,
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(video_feats.data[c], vf.data[0], rtol=0, atol=1e-12)
+
+
+def test_encode_video_rank_error():
+    params = small_params()
+    with pytest.raises(ad.ShapeError):
+        encode_video(np.zeros((2, 2, 2, 5)), params)
+
+
 def test_num_blocks_range_validated():
     cfg = TrunkConfig(input_dim=4)
     with pytest.raises(ValueError):

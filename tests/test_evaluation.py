@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from i2vmatch import evaluation
 from i2vmatch.autodiff import ShapeError
 from i2vmatch.data import SyntheticConfig, SyntheticDataset, VideoRecord, generate_dataset
 from i2vmatch.encoders import TrunkConfig, encode_video, init_encoder_params
@@ -71,6 +72,22 @@ def test_constant_video_pooling_degeneracy():
     index = extract_gallery_features([video], params, clip_len=32)
     _, one_clip = encode_video(np.tile(frame, (32, 1)), params)
     np.testing.assert_allclose(index.features[0], one_clip.data[0], atol=1e-12)
+
+
+@pytest.mark.parametrize("positions", [12, evaluation.GALLERY_BATCH_POSITIONS])
+def test_batched_gallery_matches_per_video_encoding(monkeypatch, positions):
+    # 12 positions hold three 4-frame clips, so batches split videos
+    monkeypatch.setattr(evaluation, "GALLERY_BATCH_POSITIONS", positions)
+    params = small_encoder(seed=5)
+    rng = np.random.default_rng(6)
+    videos = [VideoRecord(i, i % 2, rng.standard_normal((n, 4)))
+              for i, n in enumerate([9, 4, 1, 13, 7, 3, 8])]
+    index = extract_gallery_features(videos, params, clip_len=4)
+    for v, got in zip(videos, index.features):
+        clip_feats = [encode_video(c, params)[1].data[0] for c in split_into_clips(v.frames, 4)]
+        np.testing.assert_allclose(got, np.mean(clip_feats, axis=0), rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(index.identities, np.arange(7))
+    np.testing.assert_array_equal(index.cameras, np.arange(7) % 2)
 
 
 def test_empty_video_rejected():
