@@ -414,7 +414,9 @@ def pairwise_euclidean(x: Tensor, y: Tensor) -> Tensor:
     """Matrix of Euclidean distances between rows of x (m*d) and y (n*d).
 
     Entry (i, j) is sqrt(max(|x_i|^2 + |y_j|^2 - 2 x_i.y_j, 0) + eps); the
-    epsilon keeps the gradient finite for coincident pairs.
+    epsilon keeps the gradient finite for coincident pairs. With ``y is x``
+    the tape records one input, and backward folds both sides into one
+    product with the symmetrized weights.
     """
     xd, yd = _as2d(x, "pairwise_euclidean"), _as2d(y, "pairwise_euclidean")
     if xd.shape[1] != yd.shape[1]:
@@ -432,11 +434,14 @@ def pairwise_euclidean(x: Tensor, y: Tensor) -> Tensor:
 
     def bw(g):
         w = np.where(active, g / d, 0.0)
+        if y is x:
+            w = w + w.T
+            return (w.sum(axis=1)[:, None] * xd - w @ xd,)
         gx = w.sum(axis=1)[:, None] * xd - w @ yd
         gy = w.sum(axis=0)[:, None] * yd - w.T @ xd
         return gx, gy
 
-    return _record(out, (x, y), bw)
+    return _record(out, (x,) if y is x else (x, y), bw)
 
 
 # ---------------------------------------------------------------------------
@@ -444,10 +449,12 @@ def pairwise_euclidean(x: Tensor, y: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def backward(loss: Tensor) -> None:
-    """Populate grads of every requires_grad tensor the loss depends on.
+    """Populate grads of every leaf tensor the loss depends on.
 
     Replays the active tape in reverse execution order; gradient flow is
-    restricted to ancestors of ``loss``. Leaf grads accumulate across
+    restricted to ancestors of ``loss``. Only leaves (tensors that no
+    replayed entry produced) receive ``.grad``; an intermediate's gradient
+    is dropped once its entry has consumed it. Leaf grads accumulate across
     calls, so backward of a sum equals the sum of backwards.
     """
     if loss.data.size != 1:
@@ -457,9 +464,10 @@ def backward(loss: Tensor) -> None:
     flow: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
     holders: dict[int, Tensor] = {id(loss): loss}
     for entry in reversed(active_tape().entries):
-        g_out = flow.get(id(entry.out))
+        g_out = flow.pop(id(entry.out), None)
         if g_out is None:
             continue
+        del holders[id(entry.out)]
         grads = entry.backward(g_out)
         for inp, g_in in zip(entry.inputs, grads):
             if not inp.requires_grad:

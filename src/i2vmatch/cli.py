@@ -29,6 +29,7 @@ from .training import (
     evaluate_result,
     gradcheck_suite,
     load_checkpoint,
+    parse_flag,
     report_document,
     save_checkpoint,
     sweep,
@@ -186,7 +187,7 @@ def _parse_axis_values(axis: str, raw: str) -> list:
     if axis in ("T", "nonlocal_blocks"):
         return [int(v) for v in vals]
     if axis == "bp_to_video":
-        return [v.lower() in ("1", "on", "true") for v in vals]
+        return [parse_flag(v) for v in vals]
     return vals
 
 

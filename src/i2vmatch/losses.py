@@ -29,6 +29,7 @@ from .autodiff import (
     scale,
     shift,
     sub,
+    transpose,
 )
 
 TERM_NAMES = ("cls", "tri_i2v", "tri_v2i", "tri_i2i", "tri_v2v",
@@ -146,17 +147,61 @@ def feature_transfer_loss(bf: BatchFeatures, bp_to_video: bool = False) -> Tenso
     return scale(frobenius_sq(diff), 1.0 / bf.image_feats.data.shape[0])
 
 
-def distance_transfer_loss(bf: BatchFeatures, bp_to_video: bool = False) -> Tensor:
+def distance_transfer_loss(bf: BatchFeatures, bp_to_video: bool = False,
+                           d_img: Tensor | None = None) -> Tensor:
     """Squared Frobenius mismatch of the two cross-sample distance matrices,
     scaled by 1/(N*T). Depends only on pairwise distances, so it is blind
-    to any joint isometry of either feature set."""
+    to any joint isometry of either feature set. ``d_img`` is the
+    image-image distance matrix when the caller has already built it."""
     n_frames = bf.image_feats.data.shape[0]
     if n_frames < 2:
         raise ShapeError("distance matching needs at least two frames in the batch")
     target = _target(bf.frame_feats, bp_to_video)
-    d_img = pairwise_euclidean(bf.image_feats, bf.image_feats)
+    if d_img is None:
+        d_img = pairwise_euclidean(bf.image_feats, bf.image_feats)
     d_vid = pairwise_euclidean(target, target)
     return scale(frobenius_sq(sub(d_img, d_vid)), 1.0 / n_frames)
+
+
+def _triplet_masks(anchor_labels, candidate_labels,
+                   exclude_self: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Positive and negative candidate masks, one row per anchor; raises
+    ValueError naming an identity whose anchor lacks either."""
+    anchor_labels = np.asarray(anchor_labels)
+    candidate_labels = np.asarray(candidate_labels)
+    same = anchor_labels[:, None] == candidate_labels[None, :]
+    positive = same.copy()
+    negative = ~same
+    if exclude_self:
+        if same.shape[0] != same.shape[1]:
+            raise ShapeError("exclude_self requires equally many anchors and candidates")
+        np.fill_diagonal(positive, False)
+    missing_pos = ~positive.any(axis=1)
+    if missing_pos.any():
+        ident = int(anchor_labels[int(np.argmax(missing_pos))])
+        raise ValueError(f"anchor of identity {ident} has no positive candidate in batch")
+    missing_neg = ~negative.any(axis=1)
+    if missing_neg.any():
+        ident = int(anchor_labels[int(np.argmax(missing_neg))])
+        raise ValueError(f"anchor of identity {ident} has no negative candidate in batch")
+    return positive, negative
+
+
+def _hardest_triplet(dists: Tensor, masks: tuple[np.ndarray, np.ndarray],
+                     margin: float) -> Tensor:
+    """Mean hinge over the rows of an anchor-candidate distance matrix,
+    with the farthest positive and nearest negative of each row."""
+    positive, negative = masks
+    d = dists.data
+    # mining is a data-dependent selection; gradients flow through the
+    # selected entries only (first index wins ties, deterministically)
+    pos_idx = np.argmax(np.where(positive, d, -np.inf), axis=1)
+    neg_idx = np.argmin(np.where(negative, d, np.inf), axis=1)
+    rows = np.arange(d.shape[0])
+    hardest_pos = gather(dists, rows, pos_idx)
+    hardest_neg = gather(dists, rows, neg_idx)
+    hinge = relu(shift(sub(hardest_pos, hardest_neg), margin))
+    return mean_all(hinge)
 
 
 def batch_hard_triplet(
@@ -173,60 +218,43 @@ def batch_hard_triplet(
     ``exclude_self`` removes the diagonal pairing and must be set when
     anchors and candidates are the same feature set.
     """
-    anchor_labels = np.asarray(anchor_labels)
-    candidate_labels = np.asarray(candidate_labels)
-    same = anchor_labels[:, None] == candidate_labels[None, :]
-    positive = same.copy()
-    negative = ~same
-    if exclude_self:
-        if anchors.data.shape[0] != candidates.data.shape[0]:
-            raise ShapeError("exclude_self requires equally many anchors and candidates")
-        np.fill_diagonal(positive, False)
-    missing_pos = ~positive.any(axis=1)
-    if missing_pos.any():
-        ident = int(anchor_labels[int(np.argmax(missing_pos))])
-        raise ValueError(f"anchor of identity {ident} has no positive candidate in batch")
-    missing_neg = ~negative.any(axis=1)
-    if missing_neg.any():
-        ident = int(anchor_labels[int(np.argmax(missing_neg))])
-        raise ValueError(f"anchor of identity {ident} has no negative candidate in batch")
+    masks = _triplet_masks(anchor_labels, candidate_labels, exclude_self)
+    return _hardest_triplet(pairwise_euclidean(anchors, candidates), masks, margin)
 
-    dists = pairwise_euclidean(anchors, candidates)
-    d = dists.data
-    # mining is a data-dependent selection; gradients flow through the
-    # selected entries only (first index wins ties, deterministically)
-    pos_idx = np.argmax(np.where(positive, d, -np.inf), axis=1)
-    neg_idx = np.argmin(np.where(negative, d, np.inf), axis=1)
-    rows = np.arange(d.shape[0])
-    hardest_pos = gather(dists, rows, pos_idx)
-    hardest_neg = gather(dists, rows, neg_idx)
-    hinge = relu(shift(sub(hardest_pos, hardest_neg), margin))
-    return mean_all(hinge)
+
+def sum_terms(terms: dict[str, Tensor]) -> Tensor:
+    """Sum of the terms, left to right in dict order; 0 when there are none."""
+    total = None
+    for t in terms.values():
+        total = t if total is None else total + t
+    return Tensor(0.0) if total is None else total
 
 
 def integrated_triplet_loss(bf: BatchFeatures, cfg: LossConfig) -> Tensor:
     """Sum of the enabled cross- and within-modality triplet terms."""
-    terms = triplet_terms(bf, cfg)
-    total = None
-    for t in terms.values():
-        total = t if total is None else total + t
-    if total is None:
-        return Tensor(0.0)
-    return total
+    return sum_terms(triplet_terms(bf, cfg))
 
 
-def triplet_terms(bf: BatchFeatures, cfg: LossConfig) -> dict[str, Tensor]:
+def triplet_terms(bf: BatchFeatures, cfg: LossConfig,
+                  d_ii: Tensor | None = None) -> dict[str, Tensor]:
+    """The enabled triplet terms. i2v and v2i mine one image-video distance
+    matrix from either side; ``d_ii`` is the image-image distance matrix
+    when the caller has already built it."""
     i, v = bf.image_feats, bf.video_feats
     fl, cl = bf.frame_labels, bf.labels
     m = cfg.margin
     terms: dict[str, Tensor] = {}
+    if cfg.use_i2v or cfg.use_v2i:
+        d_iv = pairwise_euclidean(i, v)
     if cfg.use_i2v:
         # an image anchor's own clip counts as a positive
-        terms["tri_i2v"] = batch_hard_triplet(i, v, fl, cl, m)
+        terms["tri_i2v"] = _hardest_triplet(d_iv, _triplet_masks(fl, cl), m)
     if cfg.use_v2i:
-        terms["tri_v2i"] = batch_hard_triplet(v, i, cl, fl, m)
+        terms["tri_v2i"] = _hardest_triplet(transpose(d_iv), _triplet_masks(cl, fl), m)
     if cfg.use_i2i:
-        terms["tri_i2i"] = batch_hard_triplet(i, i, fl, fl, m, exclude_self=True)
+        if d_ii is None:
+            d_ii = pairwise_euclidean(i, i)
+        terms["tri_i2i"] = _hardest_triplet(d_ii, _triplet_masks(fl, fl, exclude_self=True), m)
     if cfg.use_v2v:
         terms["tri_v2v"] = batch_hard_triplet(v, v, cl, cl, m, exclude_self=True)
     return terms
@@ -253,22 +281,24 @@ def classification_loss(bf: BatchFeatures, cls: ClassifierParams) -> Tensor:
 
 
 def loss_terms(bf: BatchFeatures, cls: ClassifierParams, cfg: LossConfig) -> dict[str, Tensor]:
-    """Every enabled objective term, keyed by name (all unit-weighted)."""
+    """Every enabled objective term, keyed by name (all unit-weighted).
+
+    Each distance matrix is built once: the image-image one serves both
+    tri_i2i and the distance-transfer loss."""
     terms: dict[str, Tensor] = {}
     if cfg.use_cls:
         terms["cls"] = classification_loss(bf, cls)
-    terms.update(triplet_terms(bf, cfg))
+    d_ii = None
+    if cfg.use_i2i or cfg.use_transfer_dist:
+        d_ii = pairwise_euclidean(bf.image_feats, bf.image_feats)
+    terms.update(triplet_terms(bf, cfg, d_ii))
     if cfg.use_transfer_feat:
         terms["transfer_feat"] = feature_transfer_loss(bf, cfg.bp_to_video)
     if cfg.use_transfer_dist:
-        terms["transfer_dist"] = distance_transfer_loss(bf, cfg.bp_to_video)
+        terms["transfer_dist"] = distance_transfer_loss(bf, cfg.bp_to_video, d_ii)
     return terms
 
 
 def total_loss(bf: BatchFeatures, cls: ClassifierParams, cfg: LossConfig) -> Tensor:
     """Unit-weighted sum of all enabled terms."""
-    total = None
-    for t in loss_terms(bf, cls, cfg).values():
-        total = t if total is None else total + t
-    assert total is not None  # LossConfig guarantees at least one term
-    return total
+    return sum_terms(loss_terms(bf, cls, cfg))

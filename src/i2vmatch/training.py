@@ -14,7 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -55,6 +55,7 @@ from .losses import (
     feature_transfer_loss,
     integrated_triplet_loss,
     loss_terms,
+    sum_terms,
     total_loss,
 )
 
@@ -135,18 +136,39 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
-        d = dict(d)
-        synth = d.pop("synth", {})
-        trunk = d.pop("trunk", {})
-        loss = d.pop("loss", {})
+        """Build from the nested-dict form of :meth:`to_dict`. An unknown
+        key, a missing required field or a value of the wrong type raises
+        ValueError; the key errors name their section."""
+        d = _section("run", d, cls)
+        synth = _section("synth", d.pop("synth", {}), SyntheticConfig)
+        trunk = _section("trunk", d.pop("trunk", {}), TrunkConfig)
+        loss = _section("loss", d.pop("loss", {}), LossConfig)
         if "frames_per_video" in synth:
             synth["frames_per_video"] = tuple(synth["frames_per_video"])
         if "hidden_dims" in trunk:
             trunk["hidden_dims"] = tuple(trunk["hidden_dims"])
         if "grid_hw" in trunk:
             trunk["grid_hw"] = tuple(trunk["grid_hw"])
-        return cls(synth=SyntheticConfig(**synth), trunk=TrunkConfig(**trunk),
-                   loss=LossConfig(**loss), **d)
+        try:
+            return cls(synth=SyntheticConfig(**synth), trunk=TrunkConfig(**trunk),
+                       loss=LossConfig(**loss), **d)
+        except TypeError as exc:
+            raise ValueError(f"config value of the wrong type: {exc}") from exc
+
+
+def _section(name: str, given, kind) -> dict:
+    """A copy of one config section, checked against the fields of ``kind``."""
+    if not isinstance(given, dict):
+        raise ValueError(f"config section {name!r} must be a JSON object")
+    declared = {f.name: f for f in fields(kind)}
+    unknown = [k for k in given if k not in declared]
+    if unknown:
+        raise ValueError(f"config section {name!r}: unknown key {unknown[0]!r}")
+    missing = [k for k, f in declared.items() if k not in given
+               and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise ValueError(f"config section {name!r}: missing required key {missing[0]!r}")
+    return dict(given)
 
 
 def canonical_json(obj) -> str:
@@ -291,9 +313,7 @@ def _run_phase(cfg: RunConfig, encoder: EncoderParams,
                 optimizer.zero_grad()
                 bf = _batch_features(batch, encoder)
                 terms = term_fn(bf)
-                total = None
-                for t in terms.values():
-                    total = t if total is None else total + t
+                total = sum_terms(terms)
                 value = total.item()
                 _check_finite(value, epoch, b, batch)
                 backward(total)
@@ -574,14 +594,28 @@ def gradcheck_suite(scope: str = "all", seeds=(0,), tol: float = 1e-4,
 # sweeps
 # ---------------------------------------------------------------------------
 
+_FLAG_VALUES = {"1": True, "on": True, "true": True, "0": False, "off": False, "false": False}
+
+
+def parse_flag(value) -> bool:
+    """A ``bp_to_video`` sweep value: a bool, or one of 1/on/true/0/off/false
+    in any case."""
+    if isinstance(value, bool):
+        return value
+    flag = _FLAG_VALUES.get(str(value).strip().lower())
+    if flag is None:
+        raise ValueError(f"bp_to_video value {value!r} is not one of "
+                         f"{'/'.join(_FLAG_VALUES)}")
+    return flag
+
+
 def apply_axis(cfg: RunConfig, axis: str, value) -> RunConfig:
     if axis == "T":
         return replace(cfg, t=int(value))
     if axis == "nonlocal_blocks":
         return replace(cfg, num_nonlocal_blocks=int(value))
     if axis == "bp_to_video":
-        flag = value if isinstance(value, bool) else str(value).lower() in ("1", "on", "true")
-        return replace(cfg, loss=replace(cfg.loss, bp_to_video=flag))
+        return replace(cfg, loss=replace(cfg.loss, bp_to_video=parse_flag(value)))
     if axis == "loss_set":
         if str(value) not in LOSS_SET_PRESETS:
             raise ValueError(f"unknown loss_set {value!r}; expected one of "

@@ -197,6 +197,18 @@ def test_tape_reverse_execution_order():
     assert x.grad is not None
 
 
+def test_backward_writes_grad_only_to_leaves():
+    x = Tensor([[1.0, -2.0, 3.0]], requires_grad=True)
+    a = relu(x)
+    b = ad.square(a)
+    c = sum_all(b)
+    backward(c)
+    assert a.grad is None and b.grad is None and c.grad is None
+    np.testing.assert_array_equal(x.grad, [[2.0, 0.0, 6.0]])
+    backward(c)
+    np.testing.assert_array_equal(x.grad, [[4.0, 0.0, 12.0]])
+
+
 # ---------------------------------------------------------------------------
 # finite-difference checks
 # ---------------------------------------------------------------------------
@@ -264,6 +276,36 @@ def test_gradcheck_pairwise_euclidean(seed):
 
     rep = grad_check(f, rand(rng, 4, 3))
     assert rep.passed, rep
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_gradcheck_pairwise_euclidean_self(seed):
+    rng = np.random.default_rng(seed)
+    w = rng.standard_normal((5, 5))
+
+    # an asymmetric weighting, so both halves of the symmetrized backward count
+    def f(x):
+        return sum_all(matmul(pairwise_euclidean(x, x), Tensor(w)))
+
+    rep = grad_check(f, rand(rng, 5, 3))
+    assert rep.passed, rep
+
+
+def test_pairwise_self_records_one_input_and_matches_copy():
+    rng = np.random.default_rng(8)
+    x = Tensor(rng.standard_normal((6, 3)), requires_grad=True)
+    tape = ad.active_tape()
+    same = pairwise_euclidean(x, x)
+    assert tape.entries[-1].inputs == (x,)
+    copy = pairwise_euclidean(x, Tensor(x.data.copy()))
+    np.testing.assert_array_equal(same.data, copy.data)
+    # the single-input backward equals the sum of both sides of a two-input one
+    w = Tensor(rng.standard_normal((6, 6)))
+    y = Tensor(x.data.copy(), requires_grad=True)
+    backward(sum_all(matmul(pairwise_euclidean(x, x), w)))
+    z = Tensor(x.data.copy(), requires_grad=True)
+    backward(sum_all(matmul(pairwise_euclidean(y, z), w)))
+    np.testing.assert_allclose(x.grad, y.grad + z.grad, rtol=0, atol=1e-12)
 
 
 def test_group_attention_matches_per_block_softmax():

@@ -139,3 +139,30 @@ def test_eval_rejects_empty_parameter_header(tmp_path, capsys):
     capsys.readouterr()
     assert main(["eval", "--checkpoint", str(ckpt)]) == 1
     assert "malformed parameter header" in capsys.readouterr().err
+
+
+def test_sweep_bogus_flag_value_exits_1(capsys):
+    assert main(["sweep", "--axis", "bp_to_video", "--values", "on,bogus"]) == 1
+    err = capsys.readouterr().err
+    assert "bogus" in err and "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_synth_rejects_unknown_config_key(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"bogus_field": 1}))
+    assert main(["synth", "--config", str(path), "--out", str(tmp_path / "d.txt")]) == 1
+    err = capsys.readouterr().err
+    assert "bogus_field" in err and "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_synth_rejects_trunk_without_input_dim(tmp_path, capsys):
+    cfg = json.loads(tiny_config_file(tmp_path).read_text())
+    del cfg["trunk"]["input_dim"]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["synth", "--config", str(path), "--out", str(tmp_path / "d.txt")]) == 1
+    err = capsys.readouterr().err
+    assert "'trunk'" in err and "input_dim" in err
+    assert len(err.strip().splitlines()) == 1

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from i2vmatch import autodiff as ad
+from i2vmatch import losses
 from i2vmatch.autodiff import Tape, Tensor, backward, grad_check_params
 from i2vmatch.encoders import TrunkConfig, encode_clip_batch, init_encoder_params
 from i2vmatch.losses import (
@@ -16,6 +17,7 @@ from i2vmatch.losses import (
     feature_transfer_loss,
     integrated_triplet_loss,
     loss_terms,
+    sum_terms,
     total_loss,
     triplet_terms,
 )
@@ -307,6 +309,27 @@ def test_total_equals_sum_of_terms():
     assert total_loss(bf, cls, c).item() == pytest.approx(want, abs=1e-12)
 
 
+def test_sum_terms_adds_left_to_right():
+    terms = {"a": Tensor(0.1), "b": Tensor(0.2), "c": Tensor(0.3)}
+    assert sum_terms(terms).item() == (0.1 + 0.2) + 0.3
+    assert sum_terms({}).item() == 0.0
+
+
+def test_loss_terms_builds_each_distance_matrix_once(monkeypatch):
+    calls = []
+
+    def counting(x, y):
+        calls.append((x, y))
+        return ad.pairwise_euclidean(x, y)
+
+    monkeypatch.setattr(losses, "pairwise_euclidean", counting)
+    bf = random_bf(np.random.default_rng(14))
+    loss_terms(bf, ClassifierParams.init(3, 2, seed=4), cfg())
+    # image-video, image-image, video-video and the transfer target's own
+    assert len(calls) == 4
+    assert sum(x is bf.image_feats and y is bf.image_feats for x, y in calls) == 1
+
+
 def test_all_terms_nonnegative():
     rng = np.random.default_rng(13)
     for _ in range(5):
@@ -353,6 +376,36 @@ def test_total_loss_gradients_match_finite_differences(seed):
         lambda: total_loss(encoded_bf(params, clips, labels), cls, c), everything)
     for name, rep in reports.items():
         assert rep.passed, (name, rep)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_shared_distances_match_standalone_terms(seed):
+    params, cls, clips, labels, c = micro_setup(seed, bp_to_video=True)
+    everything = {**params.named_parameters(), **cls.named_parameters()}
+    names = ("tri_i2v", "tri_v2i", "tri_i2i", "tri_v2v", "transfer_dist")
+
+    def standalone(bf):
+        i, v, fl, cl = bf.image_feats, bf.video_feats, bf.frame_labels, bf.labels
+        return {"tri_i2v": batch_hard_triplet(i, v, fl, cl, c.margin),
+                "tri_v2i": batch_hard_triplet(v, i, cl, fl, c.margin),
+                "tri_i2i": batch_hard_triplet(i, i, fl, fl, c.margin, exclude_self=True),
+                "tri_v2v": batch_hard_triplet(v, v, cl, cl, c.margin, exclude_self=True),
+                "transfer_dist": distance_transfer_loss(bf, c.bp_to_video)}
+
+    values, grads = [], []
+    for build in (lambda bf: loss_terms(bf, cls, c), standalone):
+        with Tape():
+            for p in everything.values():
+                p.zero_grad()
+            terms = build(encoded_bf(params, clips, labels))
+            values.append({n: terms[n].item() for n in names})
+            backward(sum_terms({n: terms[n] for n in names}))
+            grads.append({k: p.grad.copy() for k, p in everything.items()
+                          if p.grad is not None})
+    assert values[0] == values[1]
+    assert grads[0].keys() == grads[1].keys()
+    for k, want in grads[1].items():
+        assert np.abs(grads[0][k] - want).max() <= 1e-12 * np.abs(want).max(), k
 
 
 def test_stop_gradient_contract():

@@ -57,6 +57,23 @@ def test_config_roundtrip_and_digest():
     assert config_digest(replace(cfg, seed=99)) != config_digest(cfg)
 
 
+@pytest.mark.parametrize("edit, words", [
+    (lambda d: d.update(bogus_field=1), ("'run'", "bogus_field")),
+    (lambda d: d["synth"].update(bogus=1), ("'synth'", "bogus")),
+    (lambda d: d["trunk"].pop("input_dim"), ("'trunk'", "input_dim")),
+    (lambda d: d["loss"].pop("num_identities"), ("'loss'", "num_identities")),
+    (lambda d: d.update(trunk=[1]), ("'trunk'", "JSON object")),
+    (lambda d: d.update(p="four"), ("wrong type",)),
+])
+def test_config_from_dict_rejects_malformed(edit, words):
+    d = json.loads(json.dumps(tiny_config().to_dict()))
+    edit(d)
+    with pytest.raises(ValueError) as exc:
+        RunConfig.from_dict(d)
+    for w in words:
+        assert w in str(exc.value)
+
+
 def test_config_validation():
     with pytest.raises(ValueError, match="teacher_mode"):
         tiny_config(teacher_mode="magic")
@@ -300,6 +317,10 @@ def test_apply_axis_variants():
     assert apply_axis(cfg, "nonlocal_blocks", 0).num_nonlocal_blocks == 0
     assert apply_axis(cfg, "bp_to_video", "on").loss.bp_to_video
     assert not apply_axis(cfg, "bp_to_video", "off").loss.bp_to_video
+    assert apply_axis(cfg, "bp_to_video", "TRUE").loss.bp_to_video
+    assert not apply_axis(cfg, "bp_to_video", "0").loss.bp_to_video
+    with pytest.raises(ValueError, match="maybe"):
+        apply_axis(cfg, "bp_to_video", "maybe")
     assert apply_axis(cfg, "teacher_mode", "pretrained").teacher_mode == "pretrained"
     full = apply_axis(cfg, "loss_set", "full").loss
     assert full.use_cls and full.use_transfer_feat
