@@ -1,7 +1,8 @@
 """Dense float64 tensors with tape-based reverse-mode differentiation.
 
-Every primitive records an entry on the active tape during the forward
-pass; ``backward`` replays the tape in exact reverse execution order, so
+Inside ``with Tape():`` every primitive records an entry during the
+forward pass; outside any tape nothing is recorded, as under ``no_grad``.
+``backward`` replays the tape in exact reverse execution order, so
 gradient accumulation order is deterministic and fixed seeds give
 bitwise-identical runs. Shapes are plain numpy shapes; primitives accept
 the ranks they document and raise :class:`ShapeError` otherwise.
@@ -41,53 +42,50 @@ class _TapeEntry:
 class Tape:
     """Execution-ordered record of primitives for one unit of work.
 
-    Use as a context manager to scope recording (the trainer opens a fresh
-    tape per batch so memory stays bounded). A tape and its tensors belong
-    to one thread; independent tapes may run concurrently.
+    Use as a context manager: primitives record only while a tape is open
+    (the trainer opens a fresh tape per batch so memory stays bounded). A
+    tape and its tensors belong to one thread; independent tapes may run
+    concurrently.
     """
 
     def __init__(self):
         self.entries: list[_TapeEntry] = []
 
     def __enter__(self) -> "Tape":
-        _state().stack.append(self)
+        _STATE.stack.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        _state().stack.pop()
+        _STATE.stack.pop()
         return False
 
 
 class _ThreadState(threading.local):
     def __init__(self):
         self.stack: list[Tape] = []
-        self.default = Tape()
         self.grad_enabled = True
 
 
 _STATE = _ThreadState()
 
 
-def _state() -> _ThreadState:
-    return _STATE
-
-
 def active_tape() -> Tape:
-    st = _state()
-    return st.stack[-1] if st.stack else st.default
+    """The innermost open tape of this thread; ValueError when none is open."""
+    if not _STATE.stack:
+        raise ValueError("no tape is open; primitives record only inside `with Tape():`")
+    return _STATE.stack[-1]
 
 
 class no_grad:
     """Context manager disabling tape recording (forward-only evaluation)."""
 
     def __enter__(self):
-        st = _state()
-        self._prev = st.grad_enabled
-        st.grad_enabled = False
+        self._prev = _STATE.grad_enabled
+        _STATE.grad_enabled = False
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        _state().grad_enabled = self._prev
+        _STATE.grad_enabled = self._prev
         return False
 
 
@@ -157,9 +155,9 @@ class Tensor:
 
 
 def _record(out: Tensor, inputs: tuple[Tensor, ...], backward_fn) -> Tensor:
-    if _state().grad_enabled and any(t.requires_grad for t in inputs):
+    if _STATE.grad_enabled and _STATE.stack and any(t.requires_grad for t in inputs):
         out.requires_grad = True
-        active_tape().entries.append(_TapeEntry(out, inputs, backward_fn))
+        _STATE.stack[-1].entries.append(_TapeEntry(out, inputs, backward_fn))
     return out
 
 
@@ -307,28 +305,6 @@ def mean_row_groups(a: Tensor, group: int) -> Tensor:
         return (np.repeat(g / group, group, axis=0),)
 
     return _record(out, (a,), bw)
-
-
-def mean_rows(a: Tensor) -> Tensor:
-    """Average all rows together: (m, n) -> (1, n)."""
-    return mean_row_groups(a, a.data.shape[0])
-
-
-def concat_rows(parts: list[Tensor]) -> Tensor:
-    """Stack 2-d tensors with equal column counts along rows."""
-    if not parts:
-        raise ShapeError("concat_rows of an empty list")
-    datas = [_as2d(p, "concat_rows") for p in parts]
-    ncols = datas[0].shape[1]
-    if any(d.shape[1] != ncols for d in datas):
-        raise ShapeError(f"concat_rows column counts disagree: {[d.shape for d in datas]}")
-    out = Tensor(np.concatenate(datas, axis=0))
-    offsets = np.cumsum([0] + [d.shape[0] for d in datas])
-
-    def bw(g):
-        return tuple(g[offsets[i]:offsets[i + 1]] for i in range(len(datas)))
-
-    return _record(out, tuple(parts), bw)
 
 
 def gather(a: Tensor, rows, cols) -> Tensor:
@@ -500,32 +476,6 @@ class GradCheckReport:
         self.passed = self.max_rel_err <= self.tol
 
 
-def finite_differences(f, x0: np.ndarray, step: float = 1e-5) -> np.ndarray:
-    """Central-difference gradient of scalar f at x0, coordinate by coordinate."""
-    x0 = np.asarray(x0, dtype=np.float64)
-    grad = np.zeros_like(x0)
-    flat = grad.reshape(-1)
-    base = x0.copy()
-    for i in range(x0.size):
-        idx = np.unravel_index(i, x0.shape)
-        orig = base[idx]
-        base[idx] = orig + step
-        fp = _eval_scalar(f, base, idx)
-        base[idx] = orig - step
-        fm = _eval_scalar(f, base, idx)
-        base[idx] = orig
-        flat[i] = (fp - fm) / (2.0 * step)
-    return grad
-
-
-def _eval_scalar(f, x: np.ndarray, idx) -> float:
-    with Tape(), no_grad():
-        v = f(Tensor(x.copy())).item()
-    if not np.isfinite(v):
-        raise NonFiniteError(f"non-finite evaluation while perturbing coordinate {idx}")
-    return v
-
-
 def _compare(analytic: np.ndarray, numeric: np.ndarray, tol: float) -> GradCheckReport:
     # relative where the reference gradient is large, absolute where it
     # vanishes (central differences of a zero gradient still carry noise)
@@ -538,15 +488,8 @@ def _compare(analytic: np.ndarray, numeric: np.ndarray, tol: float) -> GradCheck
 def grad_check(f, x0: Tensor, step: float = 1e-5, tol: float = 1e-4) -> GradCheckReport:
     """Compare the analytic gradient of scalar-valued ``f`` against central
     finite differences at ``x0``."""
-    with Tape():
-        x = Tensor(x0.data.copy(), requires_grad=True)
-        loss = f(x)
-        if not np.isfinite(loss.item()):
-            raise NonFiniteError("non-finite loss at the expansion point")
-        backward(loss)
-        analytic = np.zeros_like(x.data) if x.grad is None else x.grad
-    numeric = finite_differences(f, x0.data, step=step)
-    return _compare(analytic, numeric, tol)
+    x = Tensor(x0.data.copy(), requires_grad=True)
+    return grad_check_params(lambda: f(x), {"x": x}, step, tol)["x"]
 
 
 def grad_check_params(
@@ -576,7 +519,7 @@ def grad_check_params(
             p.zero_grad()
 
     def eval_loss(idx) -> float:
-        with Tape(), no_grad():
+        with no_grad():
             v = loss_fn().item()
         if not np.isfinite(v):
             raise NonFiniteError(f"non-finite evaluation while perturbing coordinate {idx}")

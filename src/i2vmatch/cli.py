@@ -14,12 +14,9 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
-from .autodiff import NonFiniteError, no_grad
-from .data import generate_dataset, save_dataset
-from .encoders import encode_image
-from .evaluation import PROTOCOLS, extract_gallery_features
+from .autodiff import NonFiniteError
+from .data import generate_dataset, save_dataset, write_records
+from .evaluation import PROTOCOLS, _encode_first_frames, extract_gallery_features
 from .training import (
     RunConfig,
     SWEEP_AXES,
@@ -205,27 +202,16 @@ def cmd_sweep(args) -> int:
 def cmd_export_features(args) -> int:
     result = load_checkpoint(args.checkpoint)
     dataset, cfg = result.dataset, result.config
-    lines = []
-    dim = cfg.trunk.output_dim
-
-    def record(identity, camera, vec):
-        body = " ".join(repr(float(x)) for x in vec)
-        lines.append(f"{identity} {camera} 1 {body}")
-
+    records = []
     if args.which in ("query", "both"):
-        with no_grad():
-            feats = encode_image(np.stack([v.frames[0] for v in dataset.query]),
-                                 result.encoder).data
-        for v, f in zip(dataset.query, feats):
-            record(v.identity, v.camera, f)
+        feats = _encode_first_frames(dataset.query, result.encoder)
+        records += [(v.identity, v.camera, f[None]) for v, f in zip(dataset.query, feats)]
     if args.which in ("gallery", "both"):
         index = extract_gallery_features(dataset.gallery, result.encoder,
                                          cfg.eval_clip_len)
-        for ident, cam, f in zip(index.identities, index.cameras, index.features):
-            record(int(ident), int(cam), f)
-    Path(args.out).write_text(
-        f"i2vmatch-dataset/1 dim={dim}\n" + "\n".join(lines) + "\n")
-    print(f"wrote {len(lines)} feature records to {args.out}")
+        records += zip(index.identities, index.cameras, index.features[:, None])
+    write_records(args.out, cfg.trunk.output_dim, records)
+    print(f"wrote {len(records)} feature records to {args.out}")
     return 0
 
 

@@ -263,19 +263,35 @@ def pk_batch_sampler(dataset: SyntheticDataset, p: int, k: int, t: int,
 # line-oriented text export
 # ---------------------------------------------------------------------------
 
-def _format_floats(values: np.ndarray) -> str:
+def format_floats(values: np.ndarray) -> str:
+    """Space-separated ``repr`` of each value: parsing it back is exact."""
     return " ".join(repr(float(x)) for x in values)
+
+
+def parse_floats(tokens: list[str], what: str) -> np.ndarray:
+    """The inverse of :func:`format_floats`; a non-finite value raises
+    ValueError naming ``what``."""
+    values = np.array([float(x) for x in tokens])
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{what} holds a non-finite value")
+    return values
+
+
+def write_records(path, dim: int, records) -> None:
+    """Write ``(identity, camera, rows)`` records, rows a (count, dim)
+    array, one per line after a header carrying the format tag and dim."""
+    lines = [f"{DATASET_FORMAT} dim={dim}"]
+    for identity, camera, rows in records:
+        lines.append(f"{identity} {camera} {len(rows)} {format_floats(rows.reshape(-1))}")
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def save_dataset(dataset: SyntheticDataset, path) -> None:
     """One record per line: identity, camera, frame count, frame vectors
-    (row-major). The header carries the format tag and input_dim."""
-    lines = [f"{DATASET_FORMAT} dim={dataset.config.input_dim}"]
-    for v in dataset.videos:
-        body = _format_floats(v.frames.reshape(-1))
-        lines.append(f"{v.identity} {v.camera} {v.length} {body}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    (row-major)."""
+    write_records(path, dataset.config.input_dim,
+                  ((v.identity, v.camera, v.frames) for v in dataset.videos))
 
 
 def load_dataset(path, config: SyntheticConfig | None = None) -> SyntheticDataset:
@@ -293,12 +309,15 @@ def load_dataset(path, config: SyntheticConfig | None = None) -> SyntheticDatase
             raise ValueError(f"malformed dataset header: {' '.join(header)!r}")
         dim = int(header[1].removeprefix("dim="))
         videos = []
-        for line in fh:
+        for line_no, line in enumerate(fh, start=2):
             parts = line.split()
             if not parts:
                 continue
+            if len(parts) < 3:
+                raise ValueError(f"record on line {line_no} has {len(parts)} fields; "
+                                 f"expected identity, camera, frame count and values")
             ident, cam, length = int(parts[0]), int(parts[1]), int(parts[2])
-            values = np.array([float(x) for x in parts[3:]])
+            values = parse_floats(parts[3:], f"record for identity {ident} camera {cam}")
             if values.size != length * dim:
                 raise ValueError(
                     f"record for identity {ident} camera {cam} has {values.size} "

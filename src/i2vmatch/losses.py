@@ -12,7 +12,7 @@ temporal modelling the image branch is supposed to inherit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -32,8 +32,10 @@ from .autodiff import (
     transpose,
 )
 
-TERM_NAMES = ("cls", "tri_i2v", "tri_v2i", "tri_i2i", "tri_v2v",
-              "transfer_feat", "transfer_dist")
+# each objective term, in the order loss_terms builds them, and its enable flag
+TERM_FLAGS = {"cls": "use_cls", "tri_i2v": "use_i2v", "tri_v2i": "use_v2i",
+              "tri_i2i": "use_i2i", "tri_v2v": "use_v2v",
+              "transfer_feat": "use_transfer_feat", "transfer_dist": "use_transfer_dist"}
 
 
 @dataclass(frozen=True)
@@ -60,21 +62,12 @@ class LossConfig:
             raise ValueError("num_identities must be positive")
         if self.margin < 0:
             raise ValueError("margin must be non-negative")
-        if not any([self.use_cls, self.use_i2v, self.use_v2i, self.use_i2i,
-                    self.use_v2v, self.use_transfer_feat, self.use_transfer_dist]):
+        if not any(getattr(self, flag) for flag in TERM_FLAGS.values()):
             raise ValueError("at least one loss term must be enabled")
 
-    def enabled_terms(self) -> tuple[str, ...]:
-        flags = {
-            "cls": self.use_cls,
-            "tri_i2v": self.use_i2v,
-            "tri_v2i": self.use_v2i,
-            "tri_i2i": self.use_i2i,
-            "tri_v2v": self.use_v2v,
-            "transfer_feat": self.use_transfer_feat,
-            "transfer_dist": self.use_transfer_dist,
-        }
-        return tuple(name for name in TERM_NAMES if flags[name])
+    def with_terms(self, terms) -> "LossConfig":
+        """A copy with exactly the named terms enabled; the other knobs stay."""
+        return replace(self, **{flag: name in terms for name, flag in TERM_FLAGS.items()})
 
 
 @dataclass

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,6 @@ from i2vmatch.autodiff import (
     Tape,
     Tensor,
     backward,
-    concat_rows,
     frobenius_sq,
     gather,
     grad_check,
@@ -19,7 +20,6 @@ from i2vmatch.autodiff import (
     matmul,
     mean_all,
     mean_row_groups,
-    mean_rows,
     pairwise_euclidean,
     relu,
     softmax_rows,
@@ -125,18 +125,15 @@ def test_mean_all_value():
     assert mean_all(Tensor([[2.0, 4.0], [6.0, 8.0]])).item() == 5.0
 
 
-def test_mean_rows_and_groups():
+def test_mean_row_groups_value():
     x = Tensor(np.arange(12, dtype=float).reshape(4, 3))
-    np.testing.assert_allclose(mean_rows(x).data, [[4.5, 5.5, 6.5]])
     g = mean_row_groups(x, 2)
     np.testing.assert_allclose(g.data, [[1.5, 2.5, 3.5], [7.5, 8.5, 9.5]])
 
 
-def test_gather_and_concat():
+def test_gather_value():
     x = Tensor(np.arange(6, dtype=float).reshape(2, 3))
     np.testing.assert_array_equal(gather(x, [0, 1], [2, 0]).data, [2.0, 3.0])
-    c = concat_rows([x, Tensor([[9.0, 9.0, 9.0]])])
-    assert c.data.shape == (3, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -195,6 +192,40 @@ def test_tape_reverse_execution_order():
     assert outs == [a, b, c]
     backward(c)
     assert x.grad is not None
+
+
+def _outside_any_tape(fn):
+    """Run ``fn`` on a fresh thread, where no tape is open: a tape belongs
+    to the thread that opened it."""
+    out = {}
+
+    def run():
+        try:
+            out["value"] = fn()
+        except Exception as exc:
+            out["error"] = exc
+
+    worker = threading.Thread(target=run)
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive()
+    if "error" in out:
+        raise out["error"]
+    return out["value"]
+
+
+def test_primitives_outside_a_tape_record_nothing():
+    x = Tensor(np.ones((2, 2)), requires_grad=True)
+    outs = _outside_any_tape(lambda: [matmul(x, x) for _ in range(1000)])
+    assert not any(o.requires_grad for o in outs)
+    assert ad.active_tape().entries == []
+    with pytest.raises(ValueError, match="does not require grad"):
+        backward(sum_all(outs[-1]))
+
+
+def test_active_tape_raises_outside_a_tape():
+    with pytest.raises(ValueError, match="no tape is open"):
+        _outside_any_tape(ad.active_tape)
 
 
 def test_backward_writes_grad_only_to_leaves():

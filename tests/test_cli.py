@@ -166,3 +166,21 @@ def test_synth_rejects_trunk_without_input_dim(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "'trunk'" in err and "input_dim" in err
     assert len(err.strip().splitlines()) == 1
+
+
+def test_eval_rejects_non_finite_parameter(tmp_path, capsys):
+    cfg = tiny_config_file(tmp_path)
+    run_dir = tmp_path / "run"
+    main(["train", "--config", str(cfg), "--out-dir", str(run_dir)])
+    ckpt = run_dir / "checkpoint.txt"
+    lines = ckpt.read_text().splitlines()
+    first_row = lines.index("param image.0.w 6 8") + 1
+    values = lines[first_row].split()
+    values[2] = "nan"
+    lines[first_row] = " ".join(values)
+    ckpt.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(ckpt)]) == 1
+    err = capsys.readouterr().err
+    assert "image.0.w" in err and "non-finite" in err
+    assert len(err.strip().splitlines()) == 1

@@ -260,6 +260,18 @@ def test_load_rejects_truncated_record(tmp_path):
         load_dataset(p)
 
 
+@pytest.mark.parametrize("record, words", [
+    ("0 1", "line 2 has 2 fields"),
+    ("0 0 1 1.0 nan 3.0", "identity 0 camera 0 holds a non-finite"),
+    ("0 0 1 1.0 -inf 3.0", "identity 0 camera 0 holds a non-finite"),
+], ids=["short", "nan", "inf"])
+def test_load_rejects_malformed_record(tmp_path, record, words):
+    p = tmp_path / "bad.txt"
+    p.write_text(f"i2vmatch-dataset/1 dim=3\n{record}\n")
+    with pytest.raises(ValueError, match=words):
+        load_dataset(p)
+
+
 def test_load_rejects_header_without_dim(tmp_path):
     p = tmp_path / "nodim.txt"
     p.write_text("i2vmatch-dataset/1\n0 0 1 1.0\n")

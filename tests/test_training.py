@@ -290,6 +290,15 @@ def test_gradcheck_suite_scopes():
     assert all(oc.passed for oc in encoders)
 
 
+def test_gradcheck_suite_extended_checks_every_term_and_encoder():
+    outcomes = gradcheck_suite(scope="all", extended=True, seeds=(0,))
+    assert [oc.name for oc in outcomes] == [
+        "transfer_feat", "transfer_dist", "tri_i2v", "tri_integrated", "cls", "total",
+        "tri_v2i", "tri_i2i", "tri_v2v", "nonlocal_block", "image_encoder",
+        "video_encoder"]
+    assert all(oc.passed for oc in outcomes), [oc for oc in outcomes if not oc.passed]
+
+
 def test_gradcheck_suite_rejects_unknown_scope():
     with pytest.raises(ValueError):
         gradcheck_suite(scope="everything")
