@@ -103,10 +103,6 @@ class Tensor:
         self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
 
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
-
     def item(self) -> float:
         if self.data.size != 1:
             raise ShapeError(f"item() on tensor of shape {self.data.shape}")
@@ -119,36 +115,9 @@ class Tensor:
     def zero_grad(self):
         self.grad = None
 
-    def backward(self):
-        backward(self)
-
-    # operator sugar over the primitives below
+    # operator sugar over the add primitive (loss sums read as a + b)
     def __add__(self, other):
         return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __mul__(self, c):
-        return scale(self, c)
-
-    def __rmul__(self, c):
-        return scale(self, c)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def sum(self):
-        return sum_all(self)
-
-    def mean(self):
-        return mean_all(self)
-
-    def relu(self):
-        return relu(self)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"

@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from .autodiff import NonFiniteError
@@ -20,6 +20,7 @@ from .evaluation import PROTOCOLS, _encode_first_frames, extract_gallery_feature
 from .training import (
     RunConfig,
     SWEEP_AXES,
+    TEACHER_MODES,
     TrainingAbort,
     benchmark_config,
     config_digest,
@@ -35,54 +36,42 @@ from .training import (
 )
 
 
-class ValidationFailure(Exception):
-    pass
+# the config fields that flags set: every scalar RunConfig field, then two
+# LossConfig knobs; each flag is the field name with dashes
+RUN_FLAG_FIELDS = tuple(f.name for f in fields(RunConfig)
+                        if f.name not in ("synth", "trunk", "loss"))
+LOSS_FLAG_FIELDS = ("margin", "bp_to_video")
 
 
 def _load_config(args) -> RunConfig:
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config) as fh:
             cfg = RunConfig.from_dict(json.load(fh))
     else:
         cfg = benchmark_config()
-    overrides = {}
-    for field in ("seed", "epochs", "batches_per_epoch", "learning_rate",
-                  "weight_decay", "lr_decay_every", "lr_decay_factor",
-                  "num_nonlocal_blocks", "p", "k", "t", "stride",
-                  "teacher_mode", "eval_clip_len", "k_max"):
-        val = getattr(args, field, None)
-        if val is not None:
-            overrides[field] = val
-    if getattr(args, "bp_to_video", None) is not None:
-        cfg = replace(cfg, loss=replace(cfg.loss, bp_to_video=args.bp_to_video))
-    if getattr(args, "margin", None) is not None:
-        cfg = replace(cfg, loss=replace(cfg.loss, margin=args.margin))
-    if overrides:
-        cfg = replace(cfg, **overrides)
+    loss = {name: getattr(args, name) for name in LOSS_FLAG_FIELDS
+            if getattr(args, name) is not None}
+    run = {name: getattr(args, name) for name in RUN_FLAG_FIELDS
+           if getattr(args, name) is not None}
+    if loss:
+        cfg = replace(cfg, loss=replace(cfg.loss, **loss))
+    if run:
+        cfg = replace(cfg, **run)
     return cfg
 
 
 def _add_config_flags(p: argparse.ArgumentParser):
     p.add_argument("--config", help="JSON config file (benchmark defaults if omitted)")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batches-per-epoch", dest="batches_per_epoch", type=int)
-    p.add_argument("--learning-rate", dest="learning_rate", type=float)
-    p.add_argument("--weight-decay", dest="weight_decay", type=float)
-    p.add_argument("--lr-decay-every", dest="lr_decay_every", type=int)
-    p.add_argument("--lr-decay-factor", dest="lr_decay_factor", type=float)
-    p.add_argument("--num-nonlocal-blocks", dest="num_nonlocal_blocks", type=int)
-    p.add_argument("--p", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--t", type=int)
-    p.add_argument("--stride", type=int)
-    p.add_argument("--margin", type=float)
-    p.add_argument("--teacher-mode", dest="teacher_mode",
-                   choices=("simultaneous", "pretrained"))
-    p.add_argument("--bp-to-video", dest="bp_to_video", action="store_true",
-                   default=None)
-    p.add_argument("--eval-clip-len", dest="eval_clip_len", type=int)
-    p.add_argument("--k-max", dest="k_max", type=int)
+    defaults = benchmark_config()
+    for name in RUN_FLAG_FIELDS + LOSS_FLAG_FIELDS:
+        flag = "--" + name.replace("_", "-")
+        if name == "bp_to_video":
+            p.add_argument(flag, dest=name, action="store_true", default=None)
+        elif name == "teacher_mode":
+            p.add_argument(flag, dest=name, choices=TEACHER_MODES)
+        else:
+            default = getattr(defaults.loss if name in LOSS_FLAG_FIELDS else defaults, name)
+            p.add_argument(flag, dest=name, type=type(default))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -154,8 +143,7 @@ def cmd_eval(args) -> int:
         with open(args.config) as fh:
             supplied = RunConfig.from_dict(json.load(fh))
         if config_digest(supplied) != config_digest(result.config):
-            raise ValidationFailure(
-                "config digest mismatch between checkpoint and supplied config")
+            raise ValueError("config digest mismatch between checkpoint and supplied config")
     report = evaluate_result(result, args.protocol)
     print(report.table())
     if args.out:
@@ -233,7 +221,7 @@ def main(argv=None) -> int:
         return 1 if exc.code else 0
     try:
         return COMMANDS[args.command](args)
-    except (ValidationFailure, ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (TrainingAbort, NonFiniteError, FloatingPointError) as exc:

@@ -145,15 +145,6 @@ class ClipBatch:
     labels: np.ndarray         # (N,)
     provenance: tuple[tuple[int, int, int], ...]  # (identity, camera, start)
 
-    @property
-    def frames(self) -> np.ndarray:
-        n, t, d = self.clips.shape
-        return self.clips.reshape(n * t, d)
-
-    @property
-    def frame_labels(self) -> np.ndarray:
-        return np.repeat(self.labels, self.clips.shape[1])
-
 
 def generate_dataset(cfg: SyntheticConfig) -> SyntheticDataset:
     """Deterministically emit one video per (identity, camera) pair.

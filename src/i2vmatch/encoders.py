@@ -78,15 +78,12 @@ class NonLocalParams:
 
     ``w_z`` starts at zero, so the block is an exact identity at
     initialization and the residual path dominates early training.
-    ``insert_after`` is the 0-based trunk layer index after whose
-    activation the block runs.
     """
 
     w_theta: Tensor
     w_phi: Tensor
     w_g: Tensor
     w_z: Tensor
-    insert_after: int = 0
 
     @property
     def channels(self) -> int:
@@ -101,7 +98,6 @@ class EncoderParams:
     image_layers: list[AffineLayer]
     video_layers: list[AffineLayer]
     blocks: list[NonLocalParams]
-    seed: int = 0
 
     def named_parameters(self) -> dict[str, Tensor]:
         out: dict[str, Tensor] = {}
@@ -126,12 +122,8 @@ class EncoderParams:
         return {k: v for k, v in self.named_parameters().items() if not k.startswith("image.")}
 
 
-def init_encoder_params(
-    config: TrunkConfig,
-    num_blocks: int = 2,
-    seed: int = 0,
-    block_insert_after: int = 0,
-) -> EncoderParams:
+def init_encoder_params(config: TrunkConfig, num_blocks: int = 2,
+                        seed: int = 0) -> EncoderParams:
     """Draw fresh parameters; image and video trunks get the same draw.
 
     The identical initialization (plus zeroed attention outputs) makes the
@@ -140,10 +132,8 @@ def init_encoder_params(
     """
     if not 0 <= num_blocks <= 4:
         raise ValueError(f"num_blocks must be in 0..4, got {num_blocks}")
-    if block_insert_after >= len(config.hidden_dims):
-        raise ValueError(
-            f"blocks must attach after a hidden layer (0..{len(config.hidden_dims) - 1})"
-        )
+    if not config.hidden_dims:
+        raise ValueError("the trunk needs a hidden layer for the blocks to follow")
     rng = np.random.default_rng(seed)
     layers = []
     for fan_in, fan_out in config.layer_dims:
@@ -157,7 +147,7 @@ def init_encoder_params(
         AffineLayer(Tensor(w.copy(), requires_grad=True), Tensor(b.copy(), requires_grad=True))
         for w, b in layers
     ]
-    channels = config.hidden_dims[block_insert_after]
+    channels = config.hidden_dims[0]
     inner = max(1, channels // 2)
     blocks = []
     for _ in range(num_blocks):
@@ -170,10 +160,9 @@ def init_encoder_params(
                 w_g=Tensor(rng.standard_normal((channels, inner)) / np.sqrt(channels),
                            requires_grad=True),
                 w_z=Tensor(np.zeros((inner, channels)), requires_grad=True),
-                insert_after=block_insert_after,
             )
         )
-    return EncoderParams(config, image_layers, video_layers, blocks, seed=seed)
+    return EncoderParams(config, image_layers, video_layers, blocks)
 
 
 def nonlocal_forward(x: Tensor, params: NonLocalParams, group: int | None = None) -> Tensor:
@@ -194,16 +183,17 @@ def nonlocal_forward(x: Tensor, params: NonLocalParams, group: int | None = None
 def _trunk_forward(x: Tensor, layers: list[AffineLayer],
                    blocks: list[NonLocalParams] | None = None,
                    group: int | None = None) -> Tensor:
+    """The affine+relu stack; the attention blocks, if any, run after the
+    first layer's activation."""
     h = x
     last = len(layers) - 1
     for i, layer in enumerate(layers):
         h = add(matmul(h, layer.w), layer.b)
         if i < last:
             h = relu(h)
-            if blocks:
-                for blk in blocks:
-                    if blk.insert_after == i:
-                        h = nonlocal_forward(h, blk, group)
+            if i == 0:
+                for blk in blocks or ():
+                    h = nonlocal_forward(h, blk, group)
     return h
 
 

@@ -43,9 +43,6 @@ class GalleryIndex:
         if not np.all(np.isfinite(self.features)):
             raise ValueError("gallery features must be finite")
 
-    def __len__(self) -> int:
-        return self.features.shape[0]
-
 
 @dataclass
 class MetricsReport:
@@ -175,13 +172,9 @@ def mean_average_precision(rankings: np.ndarray, query_ids, gallery_ids) -> floa
     return float(np.mean(aps))
 
 
-def _first_frames(videos: list[VideoRecord]) -> np.ndarray:
-    return np.stack([v.frames[0] for v in videos])
-
-
 def _encode_first_frames(videos: list[VideoRecord], params: EncoderParams) -> np.ndarray:
     with no_grad():
-        return encode_image(_first_frames(videos), params).data
+        return encode_image(np.stack([v.frames[0] for v in videos]), params).data
 
 
 def run_protocol(protocol: str, dataset: SyntheticDataset, params: EncoderParams,

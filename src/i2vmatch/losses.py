@@ -12,6 +12,7 @@ temporal modelling the image branch is supposed to inherit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -60,8 +61,8 @@ class LossConfig:
     def __post_init__(self):
         if self.num_identities < 1:
             raise ValueError("num_identities must be positive")
-        if self.margin < 0:
-            raise ValueError("margin must be non-negative")
+        if not math.isfinite(self.margin) or self.margin < 0:
+            raise ValueError("margin must be finite and non-negative")
         if not any(getattr(self, flag) for flag in TERM_FLAGS.values()):
             raise ValueError("at least one loss term must be enabled")
 
@@ -223,36 +224,6 @@ def sum_terms(terms: dict[str, Tensor]) -> Tensor:
     return Tensor(0.0) if total is None else total
 
 
-def integrated_triplet_loss(bf: BatchFeatures, cfg: LossConfig) -> Tensor:
-    """Sum of the enabled cross- and within-modality triplet terms."""
-    return sum_terms(triplet_terms(bf, cfg))
-
-
-def triplet_terms(bf: BatchFeatures, cfg: LossConfig,
-                  d_ii: Tensor | None = None) -> dict[str, Tensor]:
-    """The enabled triplet terms. i2v and v2i mine one image-video distance
-    matrix from either side; ``d_ii`` is the image-image distance matrix
-    when the caller has already built it."""
-    i, v = bf.image_feats, bf.video_feats
-    fl, cl = bf.frame_labels, bf.labels
-    m = cfg.margin
-    terms: dict[str, Tensor] = {}
-    if cfg.use_i2v or cfg.use_v2i:
-        d_iv = pairwise_euclidean(i, v)
-    if cfg.use_i2v:
-        # an image anchor's own clip counts as a positive
-        terms["tri_i2v"] = _hardest_triplet(d_iv, _triplet_masks(fl, cl), m)
-    if cfg.use_v2i:
-        terms["tri_v2i"] = _hardest_triplet(transpose(d_iv), _triplet_masks(cl, fl), m)
-    if cfg.use_i2i:
-        if d_ii is None:
-            d_ii = pairwise_euclidean(i, i)
-        terms["tri_i2i"] = _hardest_triplet(d_ii, _triplet_masks(fl, fl, exclude_self=True), m)
-    if cfg.use_v2v:
-        terms["tri_v2v"] = batch_hard_triplet(v, v, cl, cl, m, exclude_self=True)
-    return terms
-
-
 def cross_entropy_mean(logits: Tensor, labels: np.ndarray) -> Tensor:
     """Mean cross entropy of row-wise logits against integer labels."""
     n = logits.data.shape[0]
@@ -276,22 +247,30 @@ def classification_loss(bf: BatchFeatures, cls: ClassifierParams) -> Tensor:
 def loss_terms(bf: BatchFeatures, cls: ClassifierParams, cfg: LossConfig) -> dict[str, Tensor]:
     """Every enabled objective term, keyed by name (all unit-weighted).
 
-    Each distance matrix is built once: the image-image one serves both
-    tri_i2i and the distance-transfer loss."""
+    Each distance matrix is built once: i2v and v2i mine one image-video
+    matrix from either side, and the image-image one serves both tri_i2i
+    and the distance-transfer loss."""
+    i, v = bf.image_feats, bf.video_feats
+    fl, cl = bf.frame_labels, bf.labels
+    m = cfg.margin
     terms: dict[str, Tensor] = {}
     if cfg.use_cls:
         terms["cls"] = classification_loss(bf, cls)
-    d_ii = None
     if cfg.use_i2i or cfg.use_transfer_dist:
-        d_ii = pairwise_euclidean(bf.image_feats, bf.image_feats)
-    terms.update(triplet_terms(bf, cfg, d_ii))
+        d_ii = pairwise_euclidean(i, i)
+    if cfg.use_i2v or cfg.use_v2i:
+        d_iv = pairwise_euclidean(i, v)
+    if cfg.use_i2v:
+        # an image anchor's own clip counts as a positive
+        terms["tri_i2v"] = _hardest_triplet(d_iv, _triplet_masks(fl, cl), m)
+    if cfg.use_v2i:
+        terms["tri_v2i"] = _hardest_triplet(transpose(d_iv), _triplet_masks(cl, fl), m)
+    if cfg.use_i2i:
+        terms["tri_i2i"] = _hardest_triplet(d_ii, _triplet_masks(fl, fl, exclude_self=True), m)
+    if cfg.use_v2v:
+        terms["tri_v2v"] = batch_hard_triplet(v, v, cl, cl, m, exclude_self=True)
     if cfg.use_transfer_feat:
         terms["transfer_feat"] = feature_transfer_loss(bf, cfg.bp_to_video)
     if cfg.use_transfer_dist:
         terms["transfer_dist"] = distance_transfer_loss(bf, cfg.bp_to_video, d_ii)
     return terms
-
-
-def total_loss(bf: BatchFeatures, cls: ClassifierParams, cfg: LossConfig) -> Tensor:
-    """Unit-weighted sum of all enabled terms."""
-    return sum_terms(loss_terms(bf, cls, cfg))

@@ -119,6 +119,9 @@ class RunConfig:
                      "eval_clip_len", "k_max"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        for name in ("learning_rate", "lr_decay_factor", "weight_decay"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.learning_rate <= 0 or self.lr_decay_factor <= 0:
             raise ValueError("learning_rate and lr_decay_factor must be positive")
         if self.weight_decay < 0:
@@ -139,12 +142,6 @@ class RunConfig:
         synth = _section("synth", d.pop("synth", {}), SyntheticConfig)
         trunk = _section("trunk", d.pop("trunk", {}), TrunkConfig)
         loss = _section("loss", d.pop("loss", {}), LossConfig)
-        if "frames_per_video" in synth:
-            synth["frames_per_video"] = tuple(synth["frames_per_video"])
-        if "hidden_dims" in trunk:
-            trunk["hidden_dims"] = tuple(trunk["hidden_dims"])
-        if "grid_hw" in trunk:
-            trunk["grid_hw"] = tuple(trunk["grid_hw"])
         try:
             return cls(synth=SyntheticConfig(**synth), trunk=TrunkConfig(**trunk),
                        loss=LossConfig(**loss), **d)
@@ -153,7 +150,8 @@ class RunConfig:
 
 
 def _section(name: str, given, kind) -> dict:
-    """A copy of one config section, checked against the fields of ``kind``."""
+    """A copy of one config section, checked against the fields of ``kind``,
+    with every JSON list turned into a tuple."""
     if not isinstance(given, dict):
         raise ValueError(f"config section {name!r} must be a JSON object")
     declared = {f.name: f for f in fields(kind)}
@@ -164,7 +162,7 @@ def _section(name: str, given, kind) -> dict:
                and f.default is MISSING and f.default_factory is MISSING]
     if missing:
         raise ValueError(f"config section {name!r}: missing required key {missing[0]!r}")
-    return dict(given)
+    return {k: tuple(v) if isinstance(v, list) else v for k, v in given.items()}
 
 
 def canonical_json(obj) -> str:
@@ -209,50 +207,39 @@ def benchmark_config(seed: int = 0, **overrides) -> RunConfig:
 # optimizer
 # ---------------------------------------------------------------------------
 
-@dataclass
-class AdamState:
-    """Per-parameter moment accumulators and the shared step counter."""
-
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
-    step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 class Adam:
     """Adam over a named parameter dict, with weight decay added to the raw
     gradient before the moment updates (classic coupled form)."""
 
-    def __init__(self, params: dict[str, Tensor], weight_decay: float = 0.0,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: dict[str, Tensor], weight_decay: float = 0.0):
         self.params = dict(params)
         self.weight_decay = weight_decay
-        self.state = AdamState(
-            m={k: np.zeros_like(p.data) for k, p in self.params.items()},
-            v={k: np.zeros_like(p.data) for k, p in self.params.items()},
-            beta1=beta1, beta2=beta2, eps=eps,
-        )
+        self.m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
+        self.v = {k: np.zeros_like(p.data) for k, p in self.params.items()}
+        self.steps = 0
 
     def zero_grad(self):
         for p in self.params.values():
             p.zero_grad()
 
     def step(self, lr: float):
-        s = self.state
-        s.step += 1
-        bc1 = 1.0 - s.beta1 ** s.step
-        bc2 = 1.0 - s.beta2 ** s.step
+        self.steps += 1
+        bc1 = 1.0 - ADAM_BETA1 ** self.steps
+        bc2 = 1.0 - ADAM_BETA2 ** self.steps
         for name, p in self.params.items():
             g = p.grad if p.grad is not None else np.zeros_like(p.data)
             if self.weight_decay:
                 g = g + self.weight_decay * p.data
-            s.m[name] = s.beta1 * s.m[name] + (1.0 - s.beta1) * g
-            s.v[name] = s.beta2 * s.v[name] + (1.0 - s.beta2) * (g * g)
-            m_hat = s.m[name] / bc1
-            v_hat = s.v[name] / bc2
-            p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + s.eps)
+            self.m[name] = ADAM_BETA1 * self.m[name] + (1.0 - ADAM_BETA1) * g
+            self.v[name] = ADAM_BETA2 * self.v[name] + (1.0 - ADAM_BETA2) * (g * g)
+            m_hat = self.m[name] / bc1
+            v_hat = self.v[name] / bc2
+            p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 # ---------------------------------------------------------------------------
@@ -440,14 +427,6 @@ def evaluate_result(result: TrainResult, protocol: str) -> MetricsReport:
     cfg = result.config
     return run_protocol(protocol, result.dataset, result.encoder,
                         clip_len=cfg.eval_clip_len, k_max=cfg.k_max)
-
-
-def evaluate_checkpoint(path, protocol: str,
-                        expected_config: RunConfig | None = None) -> MetricsReport:
-    result = load_checkpoint(path)
-    if expected_config is not None and config_digest(expected_config) != config_digest(result.config):
-        raise ValueError("config digest mismatch between checkpoint and supplied config")
-    return evaluate_result(result, protocol)
 
 
 def report_document(report: MetricsReport, cfg: RunConfig) -> str:

@@ -21,7 +21,8 @@ from i2vmatch.losses import (
     batch_hard_triplet,
     distance_transfer_loss,
     feature_transfer_loss,
-    total_loss,
+    loss_terms,
+    sum_terms,
 )
 from i2vmatch.training import (
     apply_axis,
@@ -82,7 +83,7 @@ def test_criterion_2_stop_gradient():
     encoder, cls, clips, labels, cfg_off = micro_batch(bp_to_video=False)
     with Tape():
         i, f, v = encode_clip_batch(clips, encoder)
-        loss = total_loss(BatchFeatures(i, f, v, labels), cls, cfg_off)
+        loss = sum_terms(loss_terms(BatchFeatures(i, f, v, labels), cls, cfg_off))
         backward(loss)
     off_zero = all(p.grad is None or not p.grad.any()
                    for p in encoder.video_parameters().values())
@@ -90,7 +91,7 @@ def test_criterion_2_stop_gradient():
     encoder, cls, clips, labels, cfg_on = micro_batch(bp_to_video=True)
     with Tape():
         i, f, v = encode_clip_batch(clips, encoder)
-        loss = total_loss(BatchFeatures(i, f, v, labels), cls, cfg_on)
+        loss = sum_terms(loss_terms(BatchFeatures(i, f, v, labels), cls, cfg_on))
         backward(loss)
     on_nonzero = any(p.grad is not None and p.grad.any()
                      for p in encoder.video_parameters().values())

@@ -1,7 +1,17 @@
 import json
+from dataclasses import fields, is_dataclass, replace
 
-from i2vmatch.cli import main
+import pytest
+
+from i2vmatch.cli import _load_config, build_parser, main
 from i2vmatch.data import load_dataset
+from i2vmatch.training import RunConfig, benchmark_config
+
+# every config field a flag sets: the scalar RunConfig fields, then two LossConfig knobs
+BENCHMARK = benchmark_config()
+LOSS_FLAG_NAMES = ("margin", "bp_to_video")
+FLAG_NAMES = tuple(f.name for f in fields(RunConfig)
+                   if not is_dataclass(getattr(BENCHMARK, f.name))) + LOSS_FLAG_NAMES
 
 
 def tiny_config_file(tmp_path, **over):
@@ -184,3 +194,81 @@ def test_eval_rejects_non_finite_parameter(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "image.0.w" in err and "non-finite" in err
     assert len(err.strip().splitlines()) == 1
+
+
+def assert_one_error_line(capsys) -> str:
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+    return err
+
+
+def test_config_flags_are_the_scalar_fields():
+    args = build_parser().parse_args(["train", "--out-dir", "run"])
+    assert len(FLAG_NAMES) == 17
+    assert set(vars(args)) - {"command", "config", "out_dir"} == set(FLAG_NAMES)
+
+
+@pytest.mark.parametrize("name", FLAG_NAMES)
+def test_config_flag_sets_only_its_field(name):
+    is_loss = name in LOSS_FLAG_NAMES
+    default = getattr(BENCHMARK.loss if is_loss else BENCHMARK, name)
+    flag = "--" + name.replace("_", "-")
+    if isinstance(default, bool):
+        value, argv = True, [flag]
+    elif name == "teacher_mode":
+        value = "pretrained"
+        argv = [flag, value]
+    else:
+        value = default * 2 if isinstance(default, float) else default + 1
+        argv = [flag, str(value)]
+    got = _load_config(build_parser().parse_args(["train", "--out-dir", "run", *argv]))
+    if is_loss:
+        want = replace(BENCHMARK, loss=replace(BENCHMARK.loss, **{name: value}))
+    else:
+        want = replace(BENCHMARK, **{name: value})
+    assert got == want
+
+
+@pytest.mark.parametrize("flag,value", [("--margin", "nan"), ("--learning-rate", "nan"),
+                                        ("--weight-decay", "inf"),
+                                        ("--lr-decay-factor", "inf")])
+def test_train_rejects_non_finite_flag(tmp_path, capsys, flag, value):
+    cfg = tiny_config_file(tmp_path)
+    run_dir = tmp_path / "run"
+    assert main(["train", "--config", str(cfg), flag, value, "--out-dir", str(run_dir)]) == 1
+    assert "finite" in assert_one_error_line(capsys)
+    assert not run_dir.exists()
+
+
+@pytest.mark.parametrize("section,key", [(None, "learning_rate"), (None, "lr_decay_factor"),
+                                         (None, "weight_decay"), ("loss", "margin")])
+def test_synth_rejects_non_finite_config_value(tmp_path, capsys, section, key):
+    cfg = json.loads(tiny_config_file(tmp_path).read_text())
+    (cfg[section] if section else cfg)[key] = float("nan")
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["synth", "--config", str(path), "--out", str(tmp_path / "d.txt")]) == 1
+    assert key in assert_one_error_line(capsys)
+
+
+@pytest.mark.parametrize("section,key,value", [("trunk", "hidden_dims", 5),
+                                               ("synth", "frames_per_video", 7)])
+def test_synth_rejects_scalar_in_tuple_field(tmp_path, capsys, section, key, value):
+    cfg = json.loads(tiny_config_file(tmp_path).read_text())
+    cfg[section][key] = value
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["synth", "--config", str(path), "--out", str(tmp_path / "d.txt")]) == 1
+    assert "wrong type" in assert_one_error_line(capsys)
+
+
+def test_synth_out_directory_exits_1(tmp_path, capsys):
+    cfg = tiny_config_file(tmp_path)
+    assert main(["synth", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+    assert str(tmp_path) in assert_one_error_line(capsys)
+
+
+def test_eval_checkpoint_directory_exits_1(tmp_path, capsys):
+    assert main(["eval", "--checkpoint", str(tmp_path)]) == 1
+    assert str(tmp_path) in assert_one_error_line(capsys)

@@ -14,6 +14,8 @@ from i2vmatch.data import (
     sample_clip,
     save_dataset,
 )
+from i2vmatch.encoders import TrunkConfig, encode_image, init_encoder_params
+from i2vmatch.training import _batch_features
 
 
 def quiet_cfg(**kw):
@@ -164,7 +166,6 @@ def test_pk_batch_shape_and_counts():
                               rng=np.random.default_rng(0))
     batch = next(stream)
     assert batch.clips.shape == (16, 4, 6)
-    assert batch.frames.shape == (64, 6)
     ident_counts = {i: int((batch.labels == i).sum()) for i in set(batch.labels)}
     assert len(ident_counts) == 4
     assert all(c == 4 for c in ident_counts.values())
@@ -173,7 +174,11 @@ def test_pk_batch_shape_and_counts():
 def test_pk_batch_frame_labels_align():
     ds = generate_dataset(quiet_cfg())
     batch = next(pk_batch_sampler(ds, 2, 2, 3, 1, np.random.default_rng(1)))
-    np.testing.assert_array_equal(batch.frame_labels, np.repeat(batch.labels, 3))
+    encoder = init_encoder_params(TrunkConfig(input_dim=6), num_blocks=0)
+    bf = _batch_features(batch, encoder)
+    np.testing.assert_array_equal(bf.frame_labels, np.repeat(batch.labels, 3))
+    np.testing.assert_array_equal(bf.image_feats.data[3:6],
+                                  encode_image(batch.clips[1], encoder).data)
 
 
 def test_k1_warns():

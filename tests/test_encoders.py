@@ -205,8 +205,7 @@ def test_spatial_grid_pooling():
     flat = np.tile(pos, 4)[None, :]
     out = encode_image(flat, params).data
     single_cfg = TrunkConfig(input_dim=3, hidden_dims=(6,), output_dim=4)
-    single = EncoderParams(single_cfg, params.image_layers, params.video_layers, [],
-                           seed=0)
+    single = EncoderParams(single_cfg, params.image_layers, params.video_layers, [])
     ref = encode_image(pos[None, :], single).data
     np.testing.assert_allclose(out, ref, atol=1e-12)
 
@@ -240,7 +239,7 @@ def test_num_blocks_range_validated():
     with pytest.raises(ValueError):
         init_encoder_params(cfg, num_blocks=5)
     with pytest.raises(ValueError):
-        init_encoder_params(cfg, num_blocks=2, block_insert_after=2)
+        init_encoder_params(TrunkConfig(input_dim=4, hidden_dims=()), num_blocks=2)
 
 
 @settings(max_examples=20, deadline=None)

@@ -15,12 +15,11 @@ from i2vmatch.losses import (
     classification_loss,
     distance_transfer_loss,
     feature_transfer_loss,
-    integrated_triplet_loss,
     loss_terms,
     sum_terms,
-    total_loss,
-    triplet_terms,
 )
+
+TRIPLETS = ("tri_i2v", "tri_v2i", "tri_i2i", "tri_v2v")
 
 
 @pytest.fixture(autouse=True)
@@ -225,19 +224,18 @@ def cfg(num_ids=2, **kw):
 def test_integrated_sums_enabled_terms():
     rng = np.random.default_rng(4)
     bf = random_bf(rng)
-    c = cfg()
-    parts = triplet_terms(bf, c)
-    assert set(parts) == {"tri_i2v", "tri_v2i", "tri_i2i", "tri_v2v"}
+    c = cfg().with_terms(TRIPLETS)
+    parts = loss_terms(bf, ClassifierParams.init(3, 2), c)
+    assert set(parts) == set(TRIPLETS)
     want = sum(p.item() for p in parts.values())
-    assert integrated_triplet_loss(bf, c).item() == pytest.approx(want, abs=1e-12)
+    assert sum_terms(parts).item() == pytest.approx(want, abs=1e-12)
 
 
 def test_integrated_single_term_reduction():
     rng = np.random.default_rng(5)
     bf = random_bf(rng)
-    only = cfg(use_cls=False, use_v2i=False, use_i2i=False, use_v2v=False,
-               use_transfer_feat=False, use_transfer_dist=False)
-    got = integrated_triplet_loss(bf, only).item()
+    only = cfg().with_terms(("tri_i2v",))
+    got = sum_terms(loss_terms(bf, ClassifierParams.init(3, 2), only)).item()
     want = batch_hard_triplet(bf.image_feats, bf.video_feats,
                               bf.frame_labels, bf.labels, only.margin).item()
     assert got == pytest.approx(want, abs=1e-15)
@@ -292,9 +290,8 @@ def test_total_zero_when_only_feature_transfer_and_identical():
     rng = np.random.default_rng(11)
     x = rng.standard_normal((4, 3))
     bf = make_bf(x, x.copy(), rng.standard_normal((2, 3)), [0, 1])
-    only = cfg(use_cls=False, use_i2v=False, use_v2i=False, use_i2i=False,
-               use_v2v=False, use_transfer_dist=False)
-    assert total_loss(bf, ClassifierParams.init(3, 2), only).item() == 0.0
+    only = cfg().with_terms(("transfer_feat",))
+    assert sum_terms(loss_terms(bf, ClassifierParams.init(3, 2), only)).item() == 0.0
 
 
 def test_total_equals_sum_of_terms():
@@ -306,7 +303,7 @@ def test_total_equals_sum_of_terms():
     assert set(parts) == {"cls", "tri_i2v", "tri_v2i", "tri_i2i", "tri_v2v",
                           "transfer_feat", "transfer_dist"}
     want = sum(p.item() for p in parts.values())
-    assert total_loss(bf, cls, c).item() == pytest.approx(want, abs=1e-12)
+    assert sum_terms(parts).item() == pytest.approx(want, abs=1e-12)
 
 
 def test_sum_terms_adds_left_to_right():
@@ -373,7 +370,7 @@ def test_total_loss_gradients_match_finite_differences(seed):
     params, cls, clips, labels, c = micro_setup(seed, bp_to_video=True)
     everything = {**params.named_parameters(), **cls.named_parameters()}
     reports = grad_check_params(
-        lambda: total_loss(encoded_bf(params, clips, labels), cls, c), everything)
+        lambda: sum_terms(loss_terms(encoded_bf(params, clips, labels), cls, c)), everything)
     for name, rep in reports.items():
         assert rep.passed, (name, rep)
 
@@ -413,7 +410,7 @@ def test_stop_gradient_contract():
     transfer_only = cfg(use_cls=False, use_i2v=False, use_v2i=False, use_i2i=False,
                         use_v2v=False, bp_to_video=False)
     bf = encoded_bf(params, clips, labels)
-    backward(total_loss(bf, cls, transfer_only))
+    backward(sum_terms(loss_terms(bf, cls, transfer_only)))
     for name, p in params.video_parameters().items():
         assert p.grad is None or not p.grad.any(), name
     for p in params.named_parameters().values():
@@ -422,7 +419,7 @@ def test_stop_gradient_contract():
     transfer_bp = cfg(use_cls=False, use_i2v=False, use_v2i=False, use_i2i=False,
                       use_v2v=False, bp_to_video=True)
     bf = encoded_bf(params, clips, labels)
-    backward(total_loss(bf, cls, transfer_bp))
+    backward(sum_terms(loss_terms(bf, cls, transfer_bp)))
     assert any(p.grad is not None and p.grad.any()
                for p in params.video_parameters().values())
 

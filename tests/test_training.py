@@ -252,8 +252,7 @@ def test_checkpoint_preserves_evaluation(tmp_path):
     direct = evaluate_result(result, "I2V")
     path = tmp_path / "ckpt.txt"
     save_checkpoint(result, path)
-    from i2vmatch.training import evaluate_checkpoint
-    again = evaluate_checkpoint(path, "I2V")
+    again = evaluate_result(load_checkpoint(path), "I2V")
     assert direct.to_dict() == again.to_dict()
 
 
@@ -266,15 +265,6 @@ def test_checkpoint_rejects_tampering(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match="digest"):
         load_checkpoint(path)
-
-
-def test_evaluate_checkpoint_digest_mismatch(tmp_path):
-    result = train(tiny_config())
-    path = tmp_path / "ckpt.txt"
-    save_checkpoint(result, path)
-    from i2vmatch.training import evaluate_checkpoint
-    with pytest.raises(ValueError, match="digest"):
-        evaluate_checkpoint(path, "I2V", expected_config=tiny_config(seed=42))
 
 
 # ---------------------------------------------------------------------------
