@@ -4,8 +4,10 @@ refactor changed nothing.
 Prints one JSON object of sha256 digests:
 
 - ``train_log`` and ``checkpoint_text`` of ``benchmark_config(seed=0)``
-  runs of 2 epochs x 25 batches at t=4, at t=16 with stride 2, and with
-  the pre-trained teacher mode;
+  runs of 2 epochs x 25 batches at t=4, at t=16 with stride 2, with the
+  pre-trained teacher mode, and at t=16 with stride 2 and gradient sent
+  into the video branch (``bp_to_video``, the one setting in which the
+  distance-transfer target requires grad);
 - the file written by ``synth`` (benchmark defaults), the file written by
   ``export-features --which both`` and the ``eval --out`` report of each
   protocol, both on the t=4 checkpoint;
@@ -28,6 +30,7 @@ from pathlib import Path
 
 from i2vmatch import cli
 from i2vmatch.evaluation import PROTOCOLS
+from i2vmatch.losses import LossConfig
 from i2vmatch.training import (benchmark_config, checkpoint_text, gradcheck_suite,
                                 save_checkpoint, train)
 
@@ -35,6 +38,8 @@ RUNS = {
     "t4": {},
     "t16_stride2": {"t": 16, "stride": 2},
     "pretrained": {"teacher_mode": "pretrained"},
+    "t16_bp_to_video": {"t": 16, "stride": 2,
+                        "loss": LossConfig(num_identities=40, bp_to_video=True)},
 }
 
 

@@ -189,7 +189,8 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data - b.data)
 
     def bw(g):
-        return g, -g
+        # backward skips an input that needs no grad: spare the negated copy
+        return g, (-g if b.requires_grad else None)
 
     return _record(out, (a, b), bw)
 
@@ -205,7 +206,7 @@ def scale(a: Tensor, c: float) -> Tensor:
 
 
 def shift(a: Tensor, c: float) -> Tensor:
-    """Add the constant ``c`` to every entry."""
+    """Add the constant ``c`` to every entry; a test reference, no caller here."""
     out = Tensor(a.data + float(c))
 
     def bw(g):
@@ -216,7 +217,10 @@ def shift(a: Tensor, c: float) -> Tensor:
 
 def relu(a: Tensor) -> Tensor:
     mask = a.data > 0
-    out = Tensor(np.where(mask, a.data, 0.0))
+    # where(mask, a, 0) bit for bit without a per-element branch: fmax maps
+    # NaN to 0, and adding +0 turns the -0 it keeps into +0
+    out = Tensor(np.fmax(a.data, 0.0))
+    out.data += 0.0
 
     def bw(g):
         return (g * mask,)
@@ -243,6 +247,7 @@ def sum_all(a: Tensor) -> Tensor:
 
 
 def mean_all(a: Tensor) -> Tensor:
+    """Mean of all entries; a test reference, no caller here."""
     n = a.data.size
     out = Tensor(a.data.sum() / n)
 
@@ -277,7 +282,7 @@ def mean_row_groups(a: Tensor, group: int) -> Tensor:
 
 
 def gather(a: Tensor, rows, cols) -> Tensor:
-    """Pick entries (rows[i], cols[i]) of a matrix into a 1-d tensor."""
+    """Pick entries (rows[i], cols[i]) into a 1-d tensor; a test reference."""
     ad = _as2d(a, "gather")
     rows = np.asarray(rows, dtype=np.intp)
     cols = np.asarray(cols, dtype=np.intp)
@@ -289,22 +294,6 @@ def gather(a: Tensor, rows, cols) -> Tensor:
         ga = np.zeros_like(ad)
         np.add.at(ga, (rows, cols), g)
         return (ga,)
-
-    return _record(out, (a,), bw)
-
-
-def softmax_rows(a: Tensor) -> Tensor:
-    """Row-wise softmax, stabilized by per-row max subtraction."""
-    ad = _as2d(a, "softmax_rows")
-    z = ad - ad.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    y = e / e.sum(axis=1, keepdims=True)
-    out = Tensor(y)
-
-    def bw(g):
-        # full Jacobian-vector product: y * (g - <g, y> per row)
-        dot = (g * y).sum(axis=1, keepdims=True)
-        return (y * (g - dot),)
 
     return _record(out, (a,), bw)
 
@@ -342,7 +331,7 @@ def group_attention(q: Tensor, k: Tensor, v: Tensor, group: int) -> Tensor:
 
 
 def log_softmax_rows(a: Tensor) -> Tensor:
-    """Row-wise log-softmax (numerically stable); exact backward rule."""
+    """Row-wise log-softmax, numerically stable; a test reference."""
     ad = _as2d(a, "log_softmax_rows")
     z = ad - ad.max(axis=1, keepdims=True)
     lse = np.log(np.exp(z).sum(axis=1, keepdims=True))
@@ -368,17 +357,22 @@ def pairwise_euclidean(x: Tensor, y: Tensor) -> Tensor:
         raise ShapeError(
             f"pairwise_euclidean feature dims disagree: {xd.shape} vs {yd.shape}"
         )
-    sq = (
-        (xd * xd).sum(axis=1)[:, None]
-        + (yd * yd).sum(axis=1)[None, :]
-        - 2.0 * (xd @ yd.T)
-    )
-    active = sq > 0
-    d = np.sqrt(np.where(active, sq, 0.0) + DISTANCE_EPS)
+    # one m*n buffer, in place: (|x|^2 + |y|^2) - 2 xy, clamp, + eps, sqrt
+    nx = (xd * xd).sum(axis=1)
+    ny = nx if y is x else (yd * yd).sum(axis=1)
+    d = nx[:, None] + ny[None, :]
+    xy = xd @ yd.T
+    xy *= 2.0
+    d -= xy
+    active = d > 0
+    np.copyto(d, 0.0, where=~active)
+    d += DISTANCE_EPS
+    np.sqrt(d, out=d)
     out = Tensor(d)
 
     def bw(g):
-        w = np.where(active, g / d, 0.0)
+        w = np.zeros_like(d)
+        np.divide(g, d, out=w, where=active)
         if y is x:
             w = w + w.T
             return (w.sum(axis=1)[:, None] * xd - w @ xd,)
@@ -387,6 +381,49 @@ def pairwise_euclidean(x: Tensor, y: Tensor) -> Tensor:
         return gx, gy
 
     return _record(out, (x,) if y is x else (x, y), bw)
+
+
+def triplet_hinge_mean(dists: Tensor, pos_idx, neg_idx, margin: float) -> Tensor:
+    """Mean over rows r of relu(dists[r, pos_idx[r]] - dists[r, neg_idx[r]]
+    + margin), one tape entry for gather, gather, sub, shift, relu, mean_all.
+    The arithmetic is the chain's; so is the gradient, bit for bit, when no
+    row picks one column twice (mined positives and negatives never do)."""
+    d = _as2d(dists, "triplet_hinge_mean")
+    rows = np.arange(d.shape[0])
+    h = (d[rows, pos_idx] - d[rows, neg_idx]) + float(margin)
+    mask = h > 0
+    n = h.size
+    out = Tensor((np.fmax(h, 0.0) + 0.0).sum() / n)  # relu's exact where-form
+
+    def bw(g):
+        gh = np.full_like(h, float(g) / n) * mask
+        # onto zeros, as the chain's two zero-padded gathers add their picks
+        ga = np.zeros_like(d)
+        ga[rows, neg_idx] -= gh
+        ga[rows, pos_idx] += gh
+        return (ga,)
+
+    return _record(out, (dists,), bw)
+
+
+def cross_entropy_mean(logits: Tensor, labels) -> Tensor:
+    """Mean cross entropy of row-wise logits against integer labels, one tape
+    entry for log_softmax_rows, gather, mean_all, scale(-1) with the chain's
+    arithmetic: value and gradient equal the chain's bit for bit."""
+    ad = _as2d(logits, "cross_entropy_mean")
+    rows = np.arange(ad.shape[0])
+    z = ad - ad.max(axis=1, keepdims=True)
+    lsm = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+    sm = np.exp(lsm)
+    n = rows.size
+    out = Tensor((lsm[rows, labels].sum() / n) * -1.0)
+
+    def bw(g):
+        ga = np.zeros_like(ad)
+        ga[rows, labels] += float(g * -1.0) / n
+        return (ga - sm * ga.sum(axis=1, keepdims=True),)
+
+    return _record(out, (logits,), bw)
 
 
 # ---------------------------------------------------------------------------

@@ -20,17 +20,14 @@ import numpy as np
 from .autodiff import (
     ShapeError,
     Tensor,
+    cross_entropy_mean,
     frobenius_sq,
-    gather,
-    log_softmax_rows,
     matmul,
-    mean_all,
     pairwise_euclidean,
-    relu,
     scale,
-    shift,
     sub,
     transpose,
+    triplet_hinge_mean,
 )
 
 # each objective term, in the order loss_terms builds them, and its enable flag
@@ -191,11 +188,7 @@ def _hardest_triplet(dists: Tensor, masks: tuple[np.ndarray, np.ndarray],
     # selected entries only (first index wins ties, deterministically)
     pos_idx = np.argmax(np.where(positive, d, -np.inf), axis=1)
     neg_idx = np.argmin(np.where(negative, d, np.inf), axis=1)
-    rows = np.arange(d.shape[0])
-    hardest_pos = gather(dists, rows, pos_idx)
-    hardest_neg = gather(dists, rows, neg_idx)
-    hinge = relu(shift(sub(hardest_pos, hardest_neg), margin))
-    return mean_all(hinge)
+    return triplet_hinge_mean(dists, pos_idx, neg_idx, margin)
 
 
 def batch_hard_triplet(
@@ -222,13 +215,6 @@ def sum_terms(terms: dict[str, Tensor]) -> Tensor:
     for t in terms.values():
         total = t if total is None else total + t
     return Tensor(0.0) if total is None else total
-
-
-def cross_entropy_mean(logits: Tensor, labels: np.ndarray) -> Tensor:
-    """Mean cross entropy of row-wise logits against integer labels."""
-    n = logits.data.shape[0]
-    picked = gather(log_softmax_rows(logits), np.arange(n), labels)
-    return scale(mean_all(picked), -1.0)
 
 
 def classification_loss(bf: BatchFeatures, cls: ClassifierParams) -> Tensor:

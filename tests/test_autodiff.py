@@ -2,8 +2,9 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from i2vmatch import autodiff as ad
 from i2vmatch.autodiff import (
@@ -22,10 +23,12 @@ from i2vmatch.autodiff import (
     mean_row_groups,
     pairwise_euclidean,
     relu,
-    softmax_rows,
     sum_all,
     transpose,
 )
+
+import reference_kernels as ref
+from reference_kernels import softmax_rows
 
 
 @pytest.fixture(autouse=True)
@@ -415,3 +418,115 @@ def test_no_grad_disables_recording():
     with ad.no_grad():
         y = ad.square(x)
     assert not y.requires_grad
+
+
+# ---------------------------------------------------------------------------
+# rewritten kernels against their reference forms, bit for bit
+# ---------------------------------------------------------------------------
+
+def _value_and_grads(build, leaves, upstream):
+    """The value of ``build()`` scaled by ``upstream``, and every leaf's
+    gradient, on a fresh tape."""
+    with Tape():
+        for t in leaves:
+            t.zero_grad()
+        out = build()
+        backward(ad.scale(out, upstream))
+        return out.data.copy(), [t.grad.copy() for t in leaves]
+
+
+def _assert_same_bits(build, reference, leaves, upstream=1.0):
+    got, got_grads = _value_and_grads(build, leaves, upstream)
+    want, want_grads = _value_and_grads(reference, leaves, upstream)
+    np.testing.assert_array_equal(ref.bits(got), ref.bits(want))
+    for g, w in zip(got_grads, want_grads):
+        np.testing.assert_array_equal(ref.bits(g), ref.bits(w))
+
+
+def _tied_distances(rng, positive):
+    """Distances on a coarse grid, so most rows hold ties for the hardest pick.
+    In every other row the positives all lie nearer than the negatives, so
+    at a small margin those hinges are inactive or exactly at the kink."""
+    d = np.round(rng.uniform(0.0, 1.0, positive.shape), 1)
+    separated = np.where(positive, 0.5 * d, 0.5 + 0.5 * d)
+    separated[1::2] = d[1::2]
+    return np.round(separated, 2)
+
+
+@pytest.mark.parametrize("shape", [(256, 256), (16, 256)], ids=["frames", "clips"])
+@pytest.mark.parametrize("margin", [0.0, 0.3])
+@pytest.mark.parametrize("upstream", [1.0, -0.7])
+def test_triplet_hinge_mean_matches_unfused_chain(shape, margin, upstream):
+    from i2vmatch.losses import _triplet_masks
+
+    rng = np.random.default_rng(20)
+    m, n = shape
+    anchor_labels = np.repeat(np.arange(16), m // 16)
+    candidate_labels = np.repeat(np.arange(16), n // 16)
+    positive, negative = _triplet_masks(anchor_labels, candidate_labels, exclude_self=m == n)
+    d = Tensor(_tied_distances(rng, positive), requires_grad=True)
+    # the mining of losses._hardest_triplet: first index wins ties
+    pos = np.argmax(np.where(positive, d.data, -np.inf), axis=1)
+    neg = np.argmin(np.where(negative, d.data, np.inf), axis=1)
+    _assert_same_bits(lambda: ad.triplet_hinge_mean(d, pos, neg, margin),
+                      lambda: ref.triplet_hinge_mean(d, pos, neg, margin),
+                      [d], upstream)
+
+
+@pytest.mark.parametrize("rows", [256, 16])
+@pytest.mark.parametrize("upstream", [1.0, -0.7])
+def test_cross_entropy_mean_matches_unfused_chain(rows, upstream):
+    rng = np.random.default_rng(21)
+    logits = Tensor(3.0 * rng.standard_normal((rows, 40)), requires_grad=True)
+    labels = rng.integers(0, 40, rows)
+    _assert_same_bits(lambda: ad.cross_entropy_mean(logits, labels),
+                      lambda: ref.cross_entropy_mean(logits, labels),
+                      [logits], upstream)
+
+
+@pytest.mark.parametrize("form", ["self", "two-input"])
+def test_pairwise_euclidean_matches_reference_expression(form):
+    rng = np.random.default_rng(22)
+    x = Tensor(rng.standard_normal((256, 16)), requires_grad=True)
+    # repeated rows put zero and slightly negative squared distances
+    # through the clamp
+    x.data[1::16] = x.data[0::16]
+    y = x if form == "self" else Tensor(rng.standard_normal((40, 16)), requires_grad=True)
+    y.data[:8] = x.data[:8]
+    w = Tensor(rng.standard_normal((y.data.shape[0], 3)))
+    leaves = [x] if y is x else [x, y]
+    _assert_same_bits(lambda: sum_all(matmul(pairwise_euclidean(x, y), w)),
+                      lambda: sum_all(matmul(ref.pairwise_euclidean(x, y), w)),
+                      leaves)
+
+
+@settings(max_examples=200)
+@given(hnp.arrays(np.float64, st.integers(1, 64),
+                  elements=st.floats(allow_nan=True, allow_infinity=True,
+                                     allow_subnormal=True)))
+@example(np.array([-0.0, 0.0, -np.inf, np.inf, np.nan, 5e-324, -5e-324]))
+def test_relu_matches_where_bit_for_bit(a):
+    got = relu(Tensor(a)).data
+    np.testing.assert_array_equal(ref.bits(got), ref.bits(np.where(a > 0, a, 0.0)))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_gradcheck_triplet_hinge_mean(seed):
+    rng = np.random.default_rng(seed)
+    # each row's positive and negative pick differ, as mining guarantees
+    pos, neg = [1, 2, 3, 0, 5, 4], [2, 0, 0, 1, 1, 1]
+
+    def f(x):
+        return ad.triplet_hinge_mean(x, pos, neg, 0.5)
+
+    rep = grad_check(f, Tensor(rng.uniform(0.0, 2.0, (6, 6))))
+    assert rep.passed and rep.max_rel_err <= 1e-6, rep
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_gradcheck_cross_entropy_mean(seed):
+    rng = np.random.default_rng(seed)
+    labels = rng.integers(0, 5, 4)
+    rep = grad_check(lambda x: ad.cross_entropy_mean(x, labels), rand(rng, 4, 5))
+    assert rep.passed and rep.max_rel_err <= 1e-6, rep
+

@@ -272,3 +272,59 @@ def test_synth_out_directory_exits_1(tmp_path, capsys):
 def test_eval_checkpoint_directory_exits_1(tmp_path, capsys):
     assert main(["eval", "--checkpoint", str(tmp_path)]) == 1
     assert str(tmp_path) in assert_one_error_line(capsys)
+
+
+@pytest.mark.parametrize("section,key,value", [
+    ("loss", "bp_to_video", "no"),
+    (None, "t", 2.5),
+    (None, "seed", 0.5),
+    (None, "p", True),
+    (None, "epochs", 1.5),
+    (None, "num_nonlocal_blocks", 1.5),
+    ("trunk", "output_dim", 16.5),
+    (None, "eval_clip_len", 3.5),
+    ("synth", "frames_per_video", [40.5, 64]),
+    ("trunk", "grid_hw", [2]),
+])
+def test_train_rejects_config_value_of_wrong_type(tmp_path, capsys, section, key, value):
+    cfg = benchmark_config().to_dict()
+    (cfg[section] if section else cfg)[key] = value
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    run_dir = tmp_path / "o"
+    assert main(["train", "--config", str(path), "--out-dir", str(run_dir)]) == 1
+    err = assert_one_error_line(capsys)
+    assert key in err and "wrong type" in err
+    assert not run_dir.exists()
+
+
+@pytest.fixture(scope="module")
+def checkpoint_lines(tmp_path_factory):
+    tmp_path = tmp_path_factory.mktemp("ckpt")
+    run_dir = tmp_path / "run"
+    assert main(["train", "--config", str(tiny_config_file(tmp_path)),
+                 "--out-dir", str(run_dir)]) == 0
+    return (run_dir / "checkpoint.txt").read_text().splitlines()
+
+
+def _repeat_image_bias_block(lines):
+    """A second ``param image.0.b`` block spliced in before ``end``."""
+    start = next(i for i, line in enumerate(lines) if line.startswith("param image.0.b "))
+    rows = int(lines[start].split()[2])
+    return lines[:-1] + lines[start:start + 1 + rows] + ["end"]
+
+
+@pytest.mark.parametrize("edit, words", [
+    (_repeat_image_bias_block, ("image.0.b", "twice")),
+    (lambda lines: lines[:-1], ("no end line",)),
+    (lambda lines: lines + ["param image.0.b 1 8"], ("after its end line",)),
+], ids=["duplicate-parameter", "no-end", "text-after-end"])
+def test_eval_rejects_spliced_or_truncated_checkpoint(tmp_path, capsys, checkpoint_lines,
+                                                      edit, words):
+    ckpt = tmp_path / "checkpoint.txt"
+    ckpt.write_text("\n".join(edit(checkpoint_lines)) + "\n")
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(ckpt)]) == 1
+    err = assert_one_error_line(capsys)
+    for w in words:
+        assert w in err

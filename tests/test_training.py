@@ -4,14 +4,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from i2vmatch.autodiff import Tensor
+from i2vmatch import encoders, losses
+from i2vmatch.autodiff import Tape, Tensor, backward
 from i2vmatch.data import SyntheticConfig
-from i2vmatch.encoders import TrunkConfig
-from i2vmatch.losses import LossConfig
+from i2vmatch.encoders import TrunkConfig, encode_clip_batch, init_encoder_params
+from i2vmatch.losses import BatchFeatures, ClassifierParams, LossConfig, loss_terms, sum_terms
 from i2vmatch.training import (
     Adam,
     RunConfig,
     TrainingAbort,
+    _video_phase_terms,
     apply_axis,
     benchmark_config,
     checkpoint_text,
@@ -23,6 +25,8 @@ from i2vmatch.training import (
     sweep,
     train,
 )
+
+import reference_kernels as ref
 
 
 def tiny_config(**over):
@@ -119,6 +123,85 @@ def test_adam_matches_reference_implementation():
         ref = ref - 0.01 * mh / (np.sqrt(vh) + 1e-8)
         p.grad = None
         np.testing.assert_allclose(p.data, ref, atol=1e-15)
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 0.0005])
+def test_flat_adam_matches_per_tensor_loop(weight_decay):
+    rng = np.random.default_rng(4)
+    shapes = {"w": (5, 3), "b": (1, 3), "z": (3, 3)}
+    start = {k: rng.standard_normal(s) for k, s in shapes.items()}
+    flat = {k: Tensor(v.copy(), requires_grad=True) for k, v in start.items()}
+    loop = {k: Tensor(v.copy(), requires_grad=True) for k, v in start.items()}
+    opt, loop_opt = Adam(flat, weight_decay), ref.Adam(loop, weight_decay)
+    for step in range(5):
+        for k, s in shapes.items():
+            # one parameter gets no gradient on alternate steps
+            g = None if k == "b" and step % 2 else rng.standard_normal(s)
+            flat[k].grad = None if g is None else g.copy()
+            loop[k].grad = None if g is None else g.copy()
+        opt.step(lr=0.01)
+        loop_opt.step(lr=0.01)
+        for k in shapes:
+            assert flat[k].data.shape == shapes[k]
+            np.testing.assert_array_equal(ref.bits(flat[k].data),
+                                          ref.bits(loop[k].data))
+
+
+# ---------------------------------------------------------------------------
+# the training step's objective against its reference kernels
+# ---------------------------------------------------------------------------
+
+def _step_outputs(objective, encoder, params, clips, labels):
+    """The loss terms of one step and the gradient of every parameter."""
+    with Tape():
+        for p in params.values():
+            p.zero_grad()
+        i, f, v = encode_clip_batch(clips, encoder)
+        terms = objective(BatchFeatures(i, f, v, labels))
+        backward(sum_terms(terms))
+    return ({k: t.data.copy() for k, t in terms.items()},
+            {k: p.grad.copy() for k, p in params.items() if p.grad is not None})
+
+
+@pytest.mark.parametrize("phase, bp_to_video", [("loss_terms", False), ("loss_terms", True),
+                                                 ("teacher", False)],
+                         ids=["detached", "bp_to_video", "teacher"])
+def test_step_matches_reference_kernels(monkeypatch, phase, bp_to_video):
+    """A benchmark-sized step at t=16 (256 frame rows) gives the same loss
+    terms and the same gradient of every parameter, bit for bit, when every
+    rewritten kernel is swapped for its reference form."""
+    cfg = benchmark_config(t=16)
+    encoder = init_encoder_params(cfg.trunk, num_blocks=cfg.num_nonlocal_blocks, seed=3)
+    rng = np.random.default_rng(5)
+    # live attention, so the video branch differs from the image branch and
+    # the transfer losses send gradient
+    for blk in encoder.blocks:
+        blk.w_z.data = 0.3 * rng.standard_normal(blk.w_z.data.shape)
+    cls = ClassifierParams.init(cfg.trunk.output_dim, cfg.loss.num_identities, seed=4)
+    labels = np.repeat(rng.choice(cfg.loss.num_identities, cfg.p, replace=False), cfg.k)
+    clips = rng.standard_normal((cfg.p * cfg.k, cfg.t, cfg.trunk.input_dim))
+    # repeated frames give coincident features and tied distances
+    clips[:, 1] = clips[:, 0]
+    loss_cfg = replace(cfg.loss, bp_to_video=bp_to_video)
+    if phase == "teacher":
+        def objective(bf):
+            return _video_phase_terms(bf, cls, loss_cfg)
+    else:
+        def objective(bf):
+            return loss_terms(bf, cls, loss_cfg)
+    params = {**encoder.named_parameters(), **cls.named_parameters()}
+    got = _step_outputs(objective, encoder, params, clips, labels)
+    for module, name in ((losses, "triplet_hinge_mean"), (losses, "cross_entropy_mean"),
+                         (losses, "pairwise_euclidean"), (losses, "sub"),
+                         (encoders, "relu")):
+        monkeypatch.setattr(module, name, getattr(ref, name))
+    monkeypatch.setattr("i2vmatch.training.cross_entropy_mean", ref.cross_entropy_mean)
+    want = _step_outputs(objective, encoder, params, clips, labels)
+    for got_part, want_part in zip(got, want):
+        assert got_part.keys() == want_part.keys()
+        for k in want_part:
+            np.testing.assert_array_equal(ref.bits(got_part[k]),
+                                          ref.bits(want_part[k]), err_msg=k)
 
 
 # ---------------------------------------------------------------------------
