@@ -11,6 +11,11 @@ Prints one JSON object of sha256 digests:
 - the file written by ``synth`` (benchmark defaults), the file written by
   ``export-features --which both`` and the ``eval --out`` report of each
   protocol, both on the t=4 checkpoint;
+- with the t=4 encoders, on a cohort seen by 12 cameras, so that every
+  query has 11 relevant gallery videos where the benchmark cohort has one:
+  the metrics report of each protocol and the average precision of each
+  of its queries alone (``eval.multi.<protocol>``). A moved last bit of
+  one AP need not move the mean, so each AP is digested;
 - the ``repr`` of the outcomes of
   ``gradcheck_suite(scope="all", extended=True, seeds=(0, 1, 2))``.
 
@@ -26,10 +31,12 @@ import hashlib
 import io
 import json
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
-from i2vmatch import cli
-from i2vmatch.evaluation import PROTOCOLS
+from i2vmatch import cli, evaluation
+from i2vmatch.data import generate_dataset
+from i2vmatch.evaluation import PROTOCOLS, mean_average_precision, run_protocol
 from i2vmatch.losses import LossConfig
 from i2vmatch.training import (benchmark_config, checkpoint_text, gradcheck_suite,
                                 save_checkpoint, train)
@@ -55,6 +62,31 @@ def _cli(*argv: str) -> None:
         raise SystemExit(f"i2vmatch {' '.join(argv)} exited {code}")
 
 
+def _multi_relevant_digests(result) -> dict[str, str]:
+    cfg = result.config
+    dataset = generate_dataset(replace(cfg.synth, cameras_per_identity=12))
+    query_ids = [v.identity for v in dataset.query]
+    rank_queries, ranked = evaluation.rank_queries, []
+
+    def capture(query_feats, gallery):
+        ranked.append((rank_queries(query_feats, gallery), gallery.identities))
+        return ranked[-1][0]
+
+    digests = {}
+    evaluation.rank_queries = capture
+    try:
+        for protocol in PROTOCOLS:
+            report = run_protocol(protocol, dataset, result.encoder,
+                                  clip_len=cfg.eval_clip_len, k_max=cfg.k_max)
+            rankings, gallery_ids = ranked[-1]
+            aps = [mean_average_precision(rankings[i:i + 1], query_ids[i:i + 1], gallery_ids)
+                   for i in range(len(query_ids))]
+            digests[f"eval.multi.{protocol}"] = _sha256(json.dumps([report.to_dict(), aps]))
+    finally:
+        evaluation.rank_queries = rank_queries
+    return digests
+
+
 def main():
     digests = {}
     with tempfile.TemporaryDirectory() as tmp:
@@ -65,6 +97,7 @@ def main():
             digests[f"{name}.checkpoint_text"] = _sha256(checkpoint_text(result))
             if name == "t4":
                 save_checkpoint(result, out / "checkpoint.txt")
+                digests.update(_multi_relevant_digests(result))
         ckpt = str(out / "checkpoint.txt")
         _cli("synth", "--out", str(out / "synth.txt"))
         digests["synth"] = _sha256((out / "synth.txt").read_bytes())

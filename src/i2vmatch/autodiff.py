@@ -153,16 +153,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _record(out, (a, b), bw)
 
 
-def transpose(a: Tensor) -> Tensor:
-    ad = _as2d(a, "transpose")
-    out = Tensor(ad.T.copy())
-
-    def bw(g):
-        return (g.T,)
-
-    return _record(out, (a,), bw)
-
-
 def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise sum; also accepts a 1*n row added to every row of m*n."""
     ad, bd = a.data, b.data
@@ -205,16 +195,6 @@ def scale(a: Tensor, c: float) -> Tensor:
     return _record(out, (a,), bw)
 
 
-def shift(a: Tensor, c: float) -> Tensor:
-    """Add the constant ``c`` to every entry; a test reference, no caller here."""
-    out = Tensor(a.data + float(c))
-
-    def bw(g):
-        return (g,)
-
-    return _record(out, (a,), bw)
-
-
 def relu(a: Tensor) -> Tensor:
     mask = a.data > 0
     # where(mask, a, 0) bit for bit without a per-element branch: fmax maps
@@ -246,17 +226,6 @@ def sum_all(a: Tensor) -> Tensor:
     return _record(out, (a,), bw)
 
 
-def mean_all(a: Tensor) -> Tensor:
-    """Mean of all entries; a test reference, no caller here."""
-    n = a.data.size
-    out = Tensor(a.data.sum() / n)
-
-    def bw(g):
-        return (np.full_like(a.data, float(g) / n),)
-
-    return _record(out, (a,), bw)
-
-
 def frobenius_sq(a: Tensor) -> Tensor:
     """Sum of squared entries (squared Frobenius norm)."""
     out = Tensor(np.sum(a.data * a.data))
@@ -277,23 +246,6 @@ def mean_row_groups(a: Tensor, group: int) -> Tensor:
 
     def bw(g):
         return (np.repeat(g / group, group, axis=0),)
-
-    return _record(out, (a,), bw)
-
-
-def gather(a: Tensor, rows, cols) -> Tensor:
-    """Pick entries (rows[i], cols[i]) into a 1-d tensor; a test reference."""
-    ad = _as2d(a, "gather")
-    rows = np.asarray(rows, dtype=np.intp)
-    cols = np.asarray(cols, dtype=np.intp)
-    if rows.shape != cols.shape or rows.ndim != 1:
-        raise ShapeError(f"gather index shapes disagree: {rows.shape} vs {cols.shape}")
-    out = Tensor(ad[rows, cols])
-
-    def bw(g):
-        ga = np.zeros_like(ad)
-        np.add.at(ga, (rows, cols), g)
-        return (ga,)
 
     return _record(out, (a,), bw)
 
@@ -328,20 +280,6 @@ def group_attention(q: Tensor, k: Tensor, v: Tensor, group: int) -> Tensor:
                 (att.transpose(0, 2, 1) @ g3).reshape(m, e))
 
     return _record(out, (q, k, v), bw)
-
-
-def log_softmax_rows(a: Tensor) -> Tensor:
-    """Row-wise log-softmax, numerically stable; a test reference."""
-    ad = _as2d(a, "log_softmax_rows")
-    z = ad - ad.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(z).sum(axis=1, keepdims=True))
-    out = Tensor(z - lse)
-    sm = np.exp(z - lse)
-
-    def bw(g):
-        return (g - sm * g.sum(axis=1, keepdims=True),)
-
-    return _record(out, (a,), bw)
 
 
 def pairwise_euclidean(x: Tensor, y: Tensor) -> Tensor:
@@ -383,14 +321,13 @@ def pairwise_euclidean(x: Tensor, y: Tensor) -> Tensor:
     return _record(out, (x,) if y is x else (x, y), bw)
 
 
-def triplet_hinge_mean(dists: Tensor, pos_idx, neg_idx, margin: float) -> Tensor:
-    """Mean over rows r of relu(dists[r, pos_idx[r]] - dists[r, neg_idx[r]]
-    + margin), one tape entry for gather, gather, sub, shift, relu, mean_all.
-    The arithmetic is the chain's; so is the gradient, bit for bit, when no
-    row picks one column twice (mined positives and negatives never do)."""
+def triplet_hinge_mean(dists: Tensor, pos, neg, margin: float) -> Tensor:
+    """Mean of relu(dists[pos] - dists[neg] + margin) over anchors, ``pos``
+    and ``neg`` being (row indices, column indices) pairs; one tape entry for
+    gather, gather, sub, shift, relu, mean_all with the chain's arithmetic,
+    and its gradient bit for bit when no entry is picked twice (mining never)."""
     d = _as2d(dists, "triplet_hinge_mean")
-    rows = np.arange(d.shape[0])
-    h = (d[rows, pos_idx] - d[rows, neg_idx]) + float(margin)
+    h = (d[pos] - d[neg]) + float(margin)
     mask = h > 0
     n = h.size
     out = Tensor((np.fmax(h, 0.0) + 0.0).sum() / n)  # relu's exact where-form
@@ -399,8 +336,8 @@ def triplet_hinge_mean(dists: Tensor, pos_idx, neg_idx, margin: float) -> Tensor
         gh = np.full_like(h, float(g) / n) * mask
         # onto zeros, as the chain's two zero-padded gathers add their picks
         ga = np.zeros_like(d)
-        ga[rows, neg_idx] -= gh
-        ga[rows, pos_idx] += gh
+        ga[neg] -= gh
+        ga[pos] += gh
         return (ga,)
 
     return _record(out, (dists,), bw)

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .autodiff import NonFiniteError
 from .data import generate_dataset, save_dataset, write_records
-from .evaluation import PROTOCOLS, _encode_first_frames, extract_gallery_features
+from .evaluation import PROTOCOL_SIDES, PROTOCOLS, build_index
 from .training import (
     RunConfig,
     SWEEP_AXES,
@@ -191,13 +191,12 @@ def cmd_export_features(args) -> int:
     result = load_checkpoint(args.checkpoint)
     dataset, cfg = result.dataset, result.config
     records = []
-    if args.which in ("query", "both"):
-        feats = _encode_first_frames(dataset.query, result.encoder)
-        records += [(v.identity, v.camera, f[None]) for v, f in zip(dataset.query, feats)]
-    if args.which in ("gallery", "both"):
-        index = extract_gallery_features(dataset.gallery, result.encoder,
-                                         cfg.eval_clip_len)
-        records += zip(index.identities, index.cameras, index.features[:, None])
+    # the sides of the I2V protocol: first-frame queries, whole-video gallery
+    for side, kind, videos in zip(("query", "gallery"), PROTOCOL_SIDES["I2V"],
+                                  (dataset.query, dataset.gallery)):
+        if args.which in (side, "both"):
+            index = build_index(kind, videos, result.encoder, cfg.eval_clip_len)
+            records += zip(index.identities, index.cameras, index.features[:, None])
     write_records(args.out, cfg.trunk.output_dim, records)
     print(f"wrote {len(records)} feature records to {args.out}")
     return 0

@@ -27,6 +27,8 @@ from .autodiff import (
     relu,
 )
 
+MAX_NONLOCAL_BLOCKS = 4
+
 
 @dataclass(frozen=True)
 class TrunkConfig:
@@ -130,8 +132,8 @@ def init_encoder_params(config: TrunkConfig, num_blocks: int = 2,
     two networks feature-identical at step 0, so the transfer losses start
     at zero and grow only as the branches diverge.
     """
-    if not 0 <= num_blocks <= 4:
-        raise ValueError(f"num_blocks must be in 0..4, got {num_blocks}")
+    if not 0 <= num_blocks <= MAX_NONLOCAL_BLOCKS:
+        raise ValueError(f"num_blocks must be in 0..{MAX_NONLOCAL_BLOCKS}, got {num_blocks}")
     if not config.hidden_dims:
         raise ValueError("the trunk needs a hidden layer for the blocks to follow")
     rng = np.random.default_rng(seed)

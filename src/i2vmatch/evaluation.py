@@ -20,7 +20,11 @@ from .autodiff import ShapeError, no_grad
 from .data import SyntheticDataset, VideoRecord
 from .encoders import EncoderParams, encode_image, encode_video
 
-PROTOCOLS = ("I2V", "I2I", "V2V")
+# (query side, gallery side) per protocol: "image" is each video's first
+# frame through the image network, "video" its clip-pooled video features
+PROTOCOL_SIDES = {"I2V": ("image", "video"), "I2I": ("image", "image"),
+                  "V2V": ("video", "video")}
+PROTOCOLS = tuple(PROTOCOL_SIDES)
 METRICS_FORMAT = "i2vmatch-metrics/1"
 # bound on the positions (clips x frames x grid cells) encoded in one call
 # while extracting gallery features: batching clips amortizes per-call
@@ -30,7 +34,7 @@ GALLERY_BATCH_POSITIONS = 1024
 
 @dataclass
 class GalleryIndex:
-    """Pooled per-video features with their labels."""
+    """Per-video features with their labels."""
 
     features: np.ndarray    # (G, D)
     identities: np.ndarray  # (G,)
@@ -41,7 +45,7 @@ class GalleryIndex:
         self.identities = np.asarray(self.identities, dtype=np.int64)
         self.cameras = np.asarray(self.cameras, dtype=np.int64)
         if not np.all(np.isfinite(self.features)):
-            raise ValueError("gallery features must be finite")
+            raise ValueError("features must be finite")
 
 
 @dataclass
@@ -83,13 +87,9 @@ def split_into_clips(frames: np.ndarray, clip_len: int) -> list[np.ndarray]:
     length = frames.shape[0]
     if length == 0:
         raise ValueError("empty video")
-    clips = []
-    for start in range(0, length, clip_len):
-        chunk = frames[start:start + clip_len]
-        if chunk.shape[0] < clip_len:
-            reps = -(-clip_len // chunk.shape[0])
-            chunk = np.tile(chunk, (reps, 1))[:clip_len]
-        clips.append(chunk)
+    clips = [frames[start:start + clip_len] for start in range(0, length, clip_len)]
+    last = clips[-1]  # the one chunk that may be short
+    clips[-1] = np.tile(last, (-(-clip_len // len(last)), 1))[:clip_len]
     return clips
 
 
@@ -114,8 +114,7 @@ def extract_gallery_features(videos: list[VideoRecord], params: EncoderParams,
             rows.append(vf.data)
     clip_feats = np.concatenate(rows) if rows else np.zeros((0, params.config.output_dim))
     feats = [clip_feats[end - c:end].mean(axis=0) for end, c in zip(np.cumsum(counts), counts)]
-    return GalleryIndex(np.asarray(feats), np.asarray([v.identity for v in videos]),
-                        np.asarray([v.camera for v in videos]))
+    return GalleryIndex(feats, [v.identity for v in videos], [v.camera for v in videos])
 
 
 def rank_queries(query_feats: np.ndarray, gallery: GalleryIndex) -> np.ndarray:
@@ -134,74 +133,60 @@ def rank_queries(query_feats: np.ndarray, gallery: GalleryIndex) -> np.ndarray:
     return np.argsort(d, axis=1, kind="stable")
 
 
-def _first_hit_ranks(rankings: np.ndarray, query_ids: np.ndarray,
-                     gallery_ids: np.ndarray) -> np.ndarray:
-    """1-based rank of each query's first correct gallery item."""
-    ranks = np.empty(len(query_ids), dtype=np.int64)
-    for qi, order in enumerate(rankings):
-        hits = np.flatnonzero(gallery_ids[order] == query_ids[qi])
-        if hits.size == 0:
-            raise ValueError(f"query {qi} (identity {int(query_ids[qi])}) "
-                             f"has no correct gallery item")
-        ranks[qi] = hits[0] + 1
-    return ranks
+def _hit_matrix(rankings: np.ndarray, query_ids, gallery_ids) -> np.ndarray:
+    """hits[q, r]: whether query q's rank-(r+1) gallery item shares its
+    identity. Raises ValueError naming the first query without a hit."""
+    query_ids = np.asarray(query_ids)
+    hits = np.asarray(gallery_ids)[rankings] == query_ids[:, None]
+    matched = hits.any(axis=1)
+    if not matched.all():
+        qi = int(np.argmin(matched))
+        raise ValueError(f"query {qi} (identity {int(query_ids[qi])}) "
+                         f"has no correct gallery item")
+    return hits
 
 
 def cmc(rankings: np.ndarray, query_ids, gallery_ids, k_max: int = 20) -> list[float]:
     """top-k accuracy for k = 1..k_max: the fraction of queries whose first
     correct match appears at rank <= k."""
-    query_ids = np.asarray(query_ids)
-    gallery_ids = np.asarray(gallery_ids)
-    k_max = min(k_max, rankings.shape[1])
-    first = _first_hit_ranks(rankings, query_ids, gallery_ids)
-    return [float((first <= k).mean()) for k in range(1, k_max + 1)]
+    first = _hit_matrix(rankings, query_ids, gallery_ids).argmax(axis=1)  # 0-based
+    return [float((first < k).mean()) for k in range(1, min(k_max, rankings.shape[1]) + 1)]
 
 
 def mean_average_precision(rankings: np.ndarray, query_ids, gallery_ids) -> float:
     """Mean over queries of average precision: per query, the mean of
     precision-at-rank over the ranks holding relevant items."""
-    query_ids = np.asarray(query_ids)
-    gallery_ids = np.asarray(gallery_ids)
-    _first_hit_ranks(rankings, query_ids, gallery_ids)  # validates coverage
-    aps = []
-    for qi, order in enumerate(rankings):
-        rel = gallery_ids[order] == query_ids[qi]
-        hits = np.flatnonzero(rel)
-        precisions = (np.arange(1, hits.size + 1)) / (hits + 1)
-        aps.append(precisions.mean())
-    return float(np.mean(aps))
+    hits = _hit_matrix(rankings, query_ids, gallery_ids)
+    precision = np.cumsum(hits, axis=1) / np.arange(1, hits.shape[1] + 1)
+    # a mean per row over its own hits: one sum over a whole row would add
+    # zeros between the hits and move the last bit
+    return float(np.mean([row[hit].mean() for row, hit in zip(precision, hits)]))
 
 
-def _encode_first_frames(videos: list[VideoRecord], params: EncoderParams) -> np.ndarray:
+def build_index(kind: str, videos: list[VideoRecord], params: EncoderParams,
+                clip_len: int = 32) -> GalleryIndex:
+    """Features of one protocol side: ``"image"`` encodes each video's first
+    frame with the image network, ``"video"`` the whole video with the video
+    network (see :func:`extract_gallery_features`)."""
+    if kind == "video":
+        return extract_gallery_features(videos, params, clip_len)
     with no_grad():
-        return encode_image(np.stack([v.frames[0] for v in videos]), params).data
+        feats = encode_image(np.stack([v.frames[0] for v in videos]), params).data
+    return GalleryIndex(feats, [v.identity for v in videos], [v.camera for v in videos])
 
 
 def run_protocol(protocol: str, dataset: SyntheticDataset, params: EncoderParams,
                  clip_len: int = 32, k_max: int = 20) -> MetricsReport:
     """Evaluate one retrieval protocol on the dataset's query/gallery split."""
-    if protocol not in PROTOCOLS:
+    if protocol not in PROTOCOL_SIDES:
         raise ValueError(f"unknown protocol {protocol!r}; expected one of {PROTOCOLS}")
-    queries, gallery_videos = dataset.query, dataset.gallery
-    query_ids = np.array([v.identity for v in queries])
-    if protocol == "I2V":
-        query_feats = _encode_first_frames(queries, params)
-        gallery = extract_gallery_features(gallery_videos, params, clip_len)
-    elif protocol == "I2I":
-        query_feats = _encode_first_frames(queries, params)
-        gallery = GalleryIndex(
-            _encode_first_frames(gallery_videos, params),
-            np.array([v.identity for v in gallery_videos]),
-            np.array([v.camera for v in gallery_videos]),
-        )
-    else:  # V2V
-        query_index = extract_gallery_features(queries, params, clip_len)
-        query_feats = query_index.features
-        gallery = extract_gallery_features(gallery_videos, params, clip_len)
-    rankings = rank_queries(query_feats, gallery)
+    query_kind, gallery_kind = PROTOCOL_SIDES[protocol]
+    queries = build_index(query_kind, dataset.query, params, clip_len)
+    gallery = build_index(gallery_kind, dataset.gallery, params, clip_len)
+    rankings = rank_queries(queries.features, gallery)
     return MetricsReport(
         protocol=protocol,
-        cmc=cmc(rankings, query_ids, gallery.identities, k_max),
-        map=mean_average_precision(rankings, query_ids, gallery.identities),
-        num_queries=len(queries),
+        cmc=cmc(rankings, queries.identities, gallery.identities, k_max),
+        map=mean_average_precision(rankings, queries.identities, gallery.identities),
+        num_queries=len(dataset.query),
     )

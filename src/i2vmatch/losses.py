@@ -26,7 +26,6 @@ from .autodiff import (
     pairwise_euclidean,
     scale,
     sub,
-    transpose,
     triplet_hinge_mean,
 )
 
@@ -179,16 +178,20 @@ def _triplet_masks(anchor_labels, candidate_labels,
 
 
 def _hardest_triplet(dists: Tensor, masks: tuple[np.ndarray, np.ndarray],
-                     margin: float) -> Tensor:
-    """Mean hinge over the rows of an anchor-candidate distance matrix,
-    with the farthest positive and nearest negative of each row."""
+                     margin: float, by_column: bool = False) -> Tensor:
+    """Mean hinge over the anchors of a distance matrix, with the farthest
+    positive and nearest negative of each. The anchors are its rows, or its
+    columns with ``by_column``; ``masks`` have one row per anchor."""
     positive, negative = masks
-    d = dists.data
+    d = dists.data.T if by_column else dists.data
     # mining is a data-dependent selection; gradients flow through the
     # selected entries only (first index wins ties, deterministically)
     pos_idx = np.argmax(np.where(positive, d, -np.inf), axis=1)
     neg_idx = np.argmin(np.where(negative, d, np.inf), axis=1)
-    return triplet_hinge_mean(dists, pos_idx, neg_idx, margin)
+    anchors = np.arange(d.shape[0])
+    if by_column:
+        return triplet_hinge_mean(dists, (pos_idx, anchors), (neg_idx, anchors), margin)
+    return triplet_hinge_mean(dists, (anchors, pos_idx), (anchors, neg_idx), margin)
 
 
 def batch_hard_triplet(
@@ -233,8 +236,8 @@ def classification_loss(bf: BatchFeatures, cls: ClassifierParams) -> Tensor:
 def loss_terms(bf: BatchFeatures, cls: ClassifierParams, cfg: LossConfig) -> dict[str, Tensor]:
     """Every enabled objective term, keyed by name (all unit-weighted).
 
-    Each distance matrix is built once: i2v and v2i mine one image-video
-    matrix from either side, and the image-image one serves both tri_i2i
+    Each distance matrix is built once: i2v mines the image-video matrix
+    by rows and v2i by columns, and the image-image one serves both tri_i2i
     and the distance-transfer loss."""
     i, v = bf.image_feats, bf.video_feats
     fl, cl = bf.frame_labels, bf.labels
@@ -250,7 +253,7 @@ def loss_terms(bf: BatchFeatures, cls: ClassifierParams, cfg: LossConfig) -> dic
         # an image anchor's own clip counts as a positive
         terms["tri_i2v"] = _hardest_triplet(d_iv, _triplet_masks(fl, cl), m)
     if cfg.use_v2i:
-        terms["tri_v2i"] = _hardest_triplet(transpose(d_iv), _triplet_masks(cl, fl), m)
+        terms["tri_v2i"] = _hardest_triplet(d_iv, _triplet_masks(cl, fl), m, by_column=True)
     if cfg.use_i2i:
         terms["tri_i2i"] = _hardest_triplet(d_ii, _triplet_masks(fl, fl, exclude_self=True), m)
     if cfg.use_v2v:

@@ -40,6 +40,7 @@ from .data import (
     pk_batch_sampler,
 )
 from .encoders import (
+    MAX_NONLOCAL_BLOCKS,
     EncoderParams,
     TrunkConfig,
     encode_clip_batch,
@@ -117,6 +118,9 @@ class RunConfig:
                 f"{self.synth.input_dim}")
         if self.loss.num_identities != self.synth.num_train_identities:
             raise ValueError("loss num_identities must match the train identities")
+        if not 0 <= self.num_nonlocal_blocks <= MAX_NONLOCAL_BLOCKS:
+            raise ValueError(f"num_nonlocal_blocks must be in 0..{MAX_NONLOCAL_BLOCKS}, "
+                             f"got {self.num_nonlocal_blocks}")
         for name in ("p", "k", "t", "stride", "epochs", "batches_per_epoch",
                      "eval_clip_len", "k_max"):
             if getattr(self, name) < 1:
@@ -539,6 +543,8 @@ def gradcheck_suite(scope: str = "all", seeds=(0,), tol: float = 1e-4,
     micro-instances. ``scope`` is one of all/losses/encoders."""
     if scope not in ("all", "losses", "encoders"):
         raise ValueError(f"scope must be all, losses or encoders, got {scope!r}")
+    if not math.isfinite(tol) or tol < 0:
+        raise ValueError(f"tol must be finite and non-negative, got {tol}")
     loss_names = LOSS_CHECKS + (EXTENDED_LOSS_CHECKS if extended else ())
     names: tuple[str, ...] = ()
     if scope in ("all", "losses"):
@@ -603,6 +609,8 @@ def sweep(axis: str, values, cfg: RunConfig) -> list[dict]:
     """Train and evaluate one run per axis value; each row carries the
     I2V/I2I/V2V top-1 and mAP for that value."""
     # every value is validated before the first run starts
+    if not values:
+        raise ValueError(f"no {axis} value to sweep")
     run_cfgs = [apply_axis(cfg, axis, value) for value in values]
     rows = []
     for value, run_cfg in zip(values, run_cfgs):

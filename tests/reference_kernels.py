@@ -2,21 +2,79 @@
 
 The training-step kernels appear as they were before they were fused or
 rewritten in place; the equivalence tests require the package's kernels to
-match them bit for bit, value and gradient. ``softmax_rows`` is the plain
-row softmax that ``group_attention`` is checked against.
+match them bit for bit, value and gradient. The primitives that only tests
+use live here too: ``shift``, ``mean_all``, ``gather`` and
+``log_softmax_rows``, which build the unfused chains, ``transpose``, and
+``softmax_rows``, the plain row softmax that ``group_attention`` is checked
+against.
 """
 
 import numpy as np
 
 from i2vmatch import autodiff as ad
-from i2vmatch.autodiff import (
-    Tensor,
-    gather,
-    log_softmax_rows,
-    mean_all,
-    scale,
-    shift,
-)
+from i2vmatch.autodiff import ShapeError, Tensor, scale
+
+
+def transpose(a: Tensor) -> Tensor:
+    x = ad._as2d(a, "transpose")
+    out = Tensor(x.T.copy())
+
+    def bw(g):
+        return (g.T,)
+
+    return ad._record(out, (a,), bw)
+
+
+def shift(a: Tensor, c: float) -> Tensor:
+    """Add the constant ``c`` to every entry."""
+    out = Tensor(a.data + float(c))
+
+    def bw(g):
+        return (g,)
+
+    return ad._record(out, (a,), bw)
+
+
+def mean_all(a: Tensor) -> Tensor:
+    """Mean of all entries."""
+    n = a.data.size
+    out = Tensor(a.data.sum() / n)
+
+    def bw(g):
+        return (np.full_like(a.data, float(g) / n),)
+
+    return ad._record(out, (a,), bw)
+
+
+def gather(a: Tensor, rows, cols) -> Tensor:
+    """Pick entries (rows[i], cols[i]) into a 1-d tensor."""
+    x = ad._as2d(a, "gather")
+    rows = np.asarray(rows, dtype=np.intp)
+    cols = np.asarray(cols, dtype=np.intp)
+    if rows.shape != cols.shape or rows.ndim != 1:
+        raise ShapeError(f"gather index shapes disagree: {rows.shape} vs {cols.shape}")
+    out = Tensor(x[rows, cols])
+
+    def bw(g):
+        ga = np.zeros_like(x)
+        np.add.at(ga, (rows, cols), g)
+        return (ga,)
+
+    return ad._record(out, (a,), bw)
+
+
+def log_softmax_rows(a: Tensor) -> Tensor:
+    """Row-wise log-softmax, numerically stable."""
+    x = ad._as2d(a, "log_softmax_rows")
+    z = x - x.max(axis=1, keepdims=True)
+    lse = np.log(np.exp(z).sum(axis=1, keepdims=True))
+    out = Tensor(z - lse)
+    sm = np.exp(z - lse)
+
+    def bw(g):
+        return (g - sm * g.sum(axis=1, keepdims=True),)
+
+    return ad._record(out, (a,), bw)
 
 
 def softmax_rows(a: Tensor) -> Tensor:
@@ -67,10 +125,8 @@ def pairwise_euclidean(x: Tensor, y: Tensor) -> Tensor:
     return ad._record(Tensor(d), (x,) if y is x else (x, y), bw)
 
 
-def triplet_hinge_mean(dists: Tensor, pos_idx, neg_idx, margin: float) -> Tensor:
-    rows = np.arange(dists.data.shape[0])
-    hinge = relu(shift(sub(gather(dists, rows, pos_idx), gather(dists, rows, neg_idx)),
-                       margin))
+def triplet_hinge_mean(dists: Tensor, pos, neg, margin: float) -> Tensor:
+    hinge = relu(shift(sub(gather(dists, *pos), gather(dists, *neg)), margin))
     return mean_all(hinge)
 
 

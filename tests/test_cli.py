@@ -328,3 +328,22 @@ def test_eval_rejects_spliced_or_truncated_checkpoint(tmp_path, capsys, checkpoi
     err = assert_one_error_line(capsys)
     for w in words:
         assert w in err
+
+
+@pytest.mark.parametrize("axis,values", [("nonlocal_blocks", "1,9"), ("T", " , ")])
+def test_sweep_rejects_bad_values_before_any_run(monkeypatch, capsys, axis, values):
+    def no_train(cfg):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr("i2vmatch.training.train", no_train)
+    assert main(["sweep", "--axis", axis, "--values", values]) == 1
+    err = assert_one_error_line(capsys)
+    assert ("num_nonlocal_blocks" if axis == "nonlocal_blocks" else axis) in err
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+def test_gradcheck_rejects_bad_tol(capsys, tol):
+    assert main(["gradcheck", "--scope", "losses", "--tol", tol]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""  # no check ran
+    assert "tol" in err and len(err.strip().splitlines()) == 1

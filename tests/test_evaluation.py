@@ -12,6 +12,7 @@ from i2vmatch.encoders import TrunkConfig, encode_video, init_encoder_params
 from i2vmatch.evaluation import (
     GalleryIndex,
     MetricsReport,
+    build_index,
     cmc,
     extract_gallery_features,
     mean_average_precision,
@@ -180,6 +181,13 @@ def test_cmc_query_without_match_errors():
         cmc(rankings, [9], [0, 1], k_max=2)
 
 
+def test_cmc_error_names_the_first_unmatched_query():
+    rankings = np.array([[0, 1, 2]] * 5)
+    # queries 1, 3 and 4 have no gallery item of their identity
+    with pytest.raises(ValueError, match=r"query 1 \(identity 8\)"):
+        cmc(rankings, [0, 8, 1, 9, 7], [0, 1, 2], k_max=3)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 2 ** 31 - 1))
 def test_cmc_monotone_property(seed):
@@ -226,6 +234,23 @@ def test_map_matches_bruteforce_on_all_720_orderings():
         got = mean_average_precision(rankings, [1], gallery_ids)
         want = brute_force_ap([gallery_ids[j] == 1 for j in perm])
         assert got == want
+
+
+def test_map_with_many_relevant_items_matches_per_query_reference():
+    # 9 to 24 relevant items per query, so each AP's mean runs through
+    # numpy's pairwise summation; the reference takes the same per-query
+    # mean, where Python's sequential brute_force_ap may differ in the last bit
+    rng = np.random.default_rng(23)
+    for _ in range(50):
+        gallery_ids = np.repeat(np.arange(4), rng.integers(9, 25, size=4))
+        query_ids = rng.integers(0, 4, size=7)
+        rankings = np.stack([rng.permutation(gallery_ids.size) for _ in query_ids])
+        aps = []
+        for order, qid in zip(rankings, query_ids):
+            hit_positions = np.flatnonzero(gallery_ids[order] == qid)
+            h = hit_positions.size
+            aps.append((np.arange(1, h + 1) / (hit_positions + 1)).mean())
+        assert mean_average_precision(rankings, query_ids, gallery_ids) == float(np.mean(aps))
 
 
 def test_metrics_isometry_invariance():
@@ -284,12 +309,10 @@ def test_untrained_encoder_near_chance_level():
                                  num_blocks=1, seed=17)
     rep = run_protocol("I2V", ds, params, clip_len=8, k_max=10)
     # label-permutation null: shuffle gallery identities, recompute mAP
-    from i2vmatch.evaluation import _encode_first_frames
-    queries = ds.query
-    q_enc = _encode_first_frames(queries, params)
+    queries = build_index("image", ds.query, params)
     gallery = extract_gallery_features(ds.gallery, params, clip_len=8)
-    rankings = rank_queries(q_enc, gallery)
-    q_ids = np.array([v.identity for v in queries])
+    rankings = rank_queries(queries.features, gallery)
+    q_ids = queries.identities
     rng = np.random.default_rng(0)
     null = []
     for _ in range(200):
