@@ -16,6 +16,10 @@ Prints one JSON object of sha256 digests:
   the metrics report of each protocol and the average precision of each
   of its queries alone (``eval.multi.<protocol>``). A moved last bit of
   one AP need not move the mean, so each AP is digested;
+- the ``sweep --out`` rows of two short sweeps on the benchmark config,
+  ``bp_to_video`` off and on and ``T`` at 2 and 4, which cover the
+  three-protocol evaluation pass and the parsed axis values
+  (``sweep.<axis>``);
 - the ``repr`` of the outcomes of
   ``gradcheck_suite(scope="all", extended=True, seeds=(0, 1, 2))``.
 
@@ -47,6 +51,12 @@ RUNS = {
     "pretrained": {"teacher_mode": "pretrained"},
     "t16_bp_to_video": {"t": 16, "stride": 2,
                         "loss": LossConfig(num_identities=40, bp_to_video=True)},
+}
+
+# sweep command-line arguments per sweep digest
+SWEEPS = {
+    "bp_to_video": ("--values", "off,on", "--epochs", "2", "--batches-per-epoch", "25"),
+    "T": ("--values", "2,4", "--epochs", "1", "--batches-per-epoch", "10"),
 }
 
 
@@ -108,6 +118,10 @@ def main():
             report = out / f"report_{protocol}.json"
             _cli("eval", "--checkpoint", ckpt, "--protocol", protocol, "--out", str(report))
             digests[f"eval.{protocol}"] = _sha256(report.read_bytes())
+        for axis, argv in SWEEPS.items():
+            rows = out / f"sweep_{axis}.json"
+            _cli("sweep", "--axis", axis, *argv, "--out", str(rows))
+            digests[f"sweep.{axis}"] = _sha256(rows.read_bytes())
     outcomes = gradcheck_suite(scope="all", extended=True, seeds=(0, 1, 2))
     digests["gradcheck"] = _sha256(repr(outcomes))
     print(json.dumps(digests, indent=2, sort_keys=True))

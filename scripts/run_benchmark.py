@@ -2,8 +2,8 @@
 
 Trains the baseline (classification + integrated triplets) and the full
 model (baseline + both transfer losses) over several seeds and prints the
-per-protocol retrieval quality of each, plus the image-to-video gap the
-transfer losses close.
+per-protocol retrieval quality of each, averaged over the seeds, plus the
+image-to-video gap the transfer losses close.
 
 Usage: python scripts/run_benchmark.py [--seeds 0 1 2]
 """
@@ -12,19 +12,10 @@ import argparse
 
 import numpy as np
 
-from i2vmatch.training import apply_axis, benchmark_config, evaluate_result, train
+from i2vmatch.evaluation import PROTOCOLS
+from i2vmatch.training import benchmark_config, sweep, sweep_table
 
-
-def run(preset: str, seeds) -> dict:
-    rows = {p: {"top1": [], "map": []} for p in ("I2V", "I2I", "V2V")}
-    for seed in seeds:
-        cfg = apply_axis(benchmark_config(seed=seed), "loss_set", preset)
-        result = train(cfg)
-        for protocol in rows:
-            rep = evaluate_result(result, protocol)
-            rows[protocol]["top1"].append(rep.cmc[0])
-            rows[protocol]["map"].append(rep.map)
-    return {p: {k: float(np.mean(v)) for k, v in d.items()} for p, d in rows.items()}
+PRESETS = ["baseline", "full"]
 
 
 def main():
@@ -33,18 +24,14 @@ def main():
     args = parser.parse_args()
 
     print(f"training baseline and full model on seeds {args.seeds} ...")
-    results = {preset: run(preset, args.seeds) for preset in ("baseline", "full")}
-
-    header = f"{'model':>10} | " + " | ".join(f"{p} top-1   mAP " for p in ("I2V", "I2I", "V2V"))
+    per_seed = [sweep("loss_set", PRESETS, benchmark_config(seed=s)) for s in args.seeds]
+    means = [{"axis": "loss_set", "value": preset,
+              **{p: {m: float(np.mean([rows[i][p][m] for rows in per_seed]))
+                     for m in ("top1", "map")} for p in PROTOCOLS}}
+             for i, preset in enumerate(PRESETS)]
     print()
-    print(header)
-    print("-" * len(header))
-    for preset, rows in results.items():
-        cells = [f"{preset:>10}"]
-        for p in ("I2V", "I2I", "V2V"):
-            cells.append(f"{rows[p]['top1']:.4f} {rows[p]['map']:.4f}")
-        print(" | ".join(cells))
-    gap = results["full"]["I2V"]["top1"] - results["baseline"]["I2V"]["top1"]
+    print(sweep_table(means))
+    gap = means[1]["I2V"]["top1"] - means[0]["I2V"]["top1"]
     print(f"\nI2V top-1 gain from the transfer losses: {gap:+.4f}")
 
 

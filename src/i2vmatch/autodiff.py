@@ -208,24 +208,6 @@ def relu(a: Tensor) -> Tensor:
     return _record(out, (a,), bw)
 
 
-def square(a: Tensor) -> Tensor:
-    out = Tensor(a.data * a.data)
-
-    def bw(g):
-        return (2.0 * a.data * g,)
-
-    return _record(out, (a,), bw)
-
-
-def sum_all(a: Tensor) -> Tensor:
-    out = Tensor(a.data.sum())
-
-    def bw(g):
-        return (np.full_like(a.data, float(g)),)
-
-    return _record(out, (a,), bw)
-
-
 def frobenius_sq(a: Tensor) -> Tensor:
     """Sum of squared entries (squared Frobenius norm)."""
     out = Tensor(np.sum(a.data * a.data))
@@ -413,7 +395,6 @@ class GradCheckReport:
     max_rel_err: float
     tol: float
     passed: bool = field(init=False)
-    worst_index: tuple[int, ...] = ()
 
     def __post_init__(self):
         self.passed = self.max_rel_err <= self.tol
@@ -423,9 +404,7 @@ def _compare(analytic: np.ndarray, numeric: np.ndarray, tol: float) -> GradCheck
     # relative where the reference gradient is large, absolute where it
     # vanishes (central differences of a zero gradient still carry noise)
     err = np.abs(analytic - numeric) / np.maximum(1.0, np.abs(numeric))
-    worst = np.unravel_index(int(np.argmax(err)), err.shape) if err.size else ()
-    return GradCheckReport(max_rel_err=float(err.max()) if err.size else 0.0,
-                           tol=tol, worst_index=tuple(int(i) for i in worst))
+    return GradCheckReport(max_rel_err=float(err.max()) if err.size else 0.0, tol=tol)
 
 
 def grad_check(f, x0: Tensor, step: float = 1e-5, tol: float = 1e-4) -> GradCheckReport:

@@ -27,7 +27,6 @@ from .training import (
     evaluate_result,
     gradcheck_suite,
     load_checkpoint,
-    parse_flag,
     report_document,
     save_checkpoint,
     sweep,
@@ -144,7 +143,7 @@ def cmd_eval(args) -> int:
             supplied = RunConfig.from_dict(json.load(fh))
         if config_digest(supplied) != config_digest(result.config):
             raise ValueError("config digest mismatch between checkpoint and supplied config")
-    report = evaluate_result(result, args.protocol)
+    report = evaluate_result(result, (args.protocol,))[args.protocol]
     print(report.table())
     if args.out:
         Path(args.out).write_text(report_document(report, result.config))
@@ -167,18 +166,9 @@ def cmd_gradcheck(args) -> int:
     return 0
 
 
-def _parse_axis_values(axis: str, raw: str) -> list:
-    vals = [v.strip() for v in raw.split(",") if v.strip()]
-    if axis in ("T", "nonlocal_blocks"):
-        return [int(v) for v in vals]
-    if axis == "bp_to_video":
-        return [parse_flag(v) for v in vals]
-    return vals
-
-
 def cmd_sweep(args) -> int:
     cfg = _load_config(args)
-    values = _parse_axis_values(args.axis, args.values)
+    values = [v.strip() for v in args.values.split(",") if v.strip()]
     rows = sweep(args.axis, values, cfg)
     print(sweep_table(rows))
     if args.out:

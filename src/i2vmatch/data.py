@@ -89,6 +89,9 @@ class VideoRecord:
         self.frames = np.asarray(self.frames, dtype=np.float64)
         if self.frames.ndim != 2 or self.frames.shape[0] < 1:
             raise ValueError(f"video needs (L>=1, dim) frames, got {self.frames.shape}")
+        if not np.all(np.isfinite(self.frames)):
+            raise ValueError(f"video of identity {self.identity} camera {self.camera} "
+                             f"holds a non-finite frame value")
 
     @property
     def length(self) -> int:

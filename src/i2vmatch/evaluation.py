@@ -175,18 +175,39 @@ def build_index(kind: str, videos: list[VideoRecord], params: EncoderParams,
     return GalleryIndex(feats, [v.identity for v in videos], [v.camera for v in videos])
 
 
+def evaluate(dataset: SyntheticDataset, params: EncoderParams, protocols=PROTOCOLS,
+             clip_len: int = 32, k_max: int = 20) -> dict[str, MetricsReport]:
+    """Score each named protocol on the dataset's query/gallery split.
+
+    Protocols share their sides: each (kind, split) side is built once, so
+    all three protocols encode the query and gallery videos once each
+    through either network. Every name is checked before any encoding.
+    """
+    unknown = [p for p in protocols if p not in PROTOCOL_SIDES]
+    if unknown:
+        raise ValueError(f"unknown protocol {unknown[0]!r}; expected one of {PROTOCOLS}")
+    sides: dict[tuple[str, str], GalleryIndex] = {}
+
+    def side(kind: str, split: str) -> GalleryIndex:
+        if (kind, split) not in sides:
+            sides[kind, split] = build_index(kind, getattr(dataset, split), params, clip_len)
+        return sides[kind, split]
+
+    reports = {}
+    for protocol in protocols:
+        query_kind, gallery_kind = PROTOCOL_SIDES[protocol]
+        queries, gallery = side(query_kind, "query"), side(gallery_kind, "gallery")
+        rankings = rank_queries(queries.features, gallery)
+        reports[protocol] = MetricsReport(
+            protocol=protocol,
+            cmc=cmc(rankings, queries.identities, gallery.identities, k_max),
+            map=mean_average_precision(rankings, queries.identities, gallery.identities),
+            num_queries=len(queries.identities),
+        )
+    return reports
+
+
 def run_protocol(protocol: str, dataset: SyntheticDataset, params: EncoderParams,
                  clip_len: int = 32, k_max: int = 20) -> MetricsReport:
-    """Evaluate one retrieval protocol on the dataset's query/gallery split."""
-    if protocol not in PROTOCOL_SIDES:
-        raise ValueError(f"unknown protocol {protocol!r}; expected one of {PROTOCOLS}")
-    query_kind, gallery_kind = PROTOCOL_SIDES[protocol]
-    queries = build_index(query_kind, dataset.query, params, clip_len)
-    gallery = build_index(gallery_kind, dataset.gallery, params, clip_len)
-    rankings = rank_queries(queries.features, gallery)
-    return MetricsReport(
-        protocol=protocol,
-        cmc=cmc(rankings, queries.identities, gallery.identities, k_max),
-        map=mean_average_precision(rankings, queries.identities, gallery.identities),
-        num_queries=len(dataset.query),
-    )
+    """Evaluate one retrieval protocol: :func:`evaluate` of that one name."""
+    return evaluate(dataset, params, (protocol,), clip_len, k_max)[protocol]

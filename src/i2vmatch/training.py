@@ -25,10 +25,9 @@ from .autodiff import (
     Tensor,
     backward,
     cross_entropy_mean,
+    frobenius_sq,
     grad_check_params,
     matmul,
-    square,
-    sum_all,
 )
 from .data import (
     ClipBatch,
@@ -49,7 +48,7 @@ from .encoders import (
     init_encoder_params,
     nonlocal_forward,
 )
-from .evaluation import PROTOCOLS, MetricsReport, run_protocol
+from .evaluation import PROTOCOLS, MetricsReport, evaluate
 from .losses import (
     TERM_FLAGS,
     BatchFeatures,
@@ -73,8 +72,6 @@ LOSS_SET_PRESETS = {
     "baseline": ("cls", "tri_i2v", "tri_v2i", "tri_i2i", "tri_v2v"),
     "full": tuple(TERM_FLAGS),
 }
-
-SWEEP_AXES = ("T", "nonlocal_blocks", "bp_to_video", "loss_set", "teacher_mode")
 
 
 class TrainingAbort(FloatingPointError):
@@ -389,11 +386,8 @@ def checkpoint_text(result: TrainResult) -> str:
     named = {**result.encoder.named_parameters(),
              **result.classifier.named_parameters()}
     for name, p in named.items():
-        r, c = p.data.shape if p.data.ndim == 2 else (1, p.data.size)
-        lines.append(f"param {name} {r} {c}")
-        data2d = p.data.reshape(r, c)
-        for row in data2d:
-            lines.append(format_floats(row))
+        lines.append(f"param {name} {p.data.shape[0]} {p.data.shape[1]}")
+        lines.extend(format_floats(row) for row in p.data)
     lines.append("end")
     return "\n".join(lines) + "\n"
 
@@ -458,10 +452,11 @@ def load_checkpoint(path) -> TrainResult:
 # evaluation entry points
 # ---------------------------------------------------------------------------
 
-def evaluate_result(result: TrainResult, protocol: str) -> MetricsReport:
+def evaluate_result(result: TrainResult, protocols=PROTOCOLS) -> dict[str, MetricsReport]:
+    """The metrics report of each named protocol, from one evaluation pass."""
     cfg = result.config
-    return run_protocol(protocol, result.dataset, result.encoder,
-                        clip_len=cfg.eval_clip_len, k_max=cfg.k_max)
+    return evaluate(result.dataset, result.encoder, protocols,
+                    clip_len=cfg.eval_clip_len, k_max=cfg.k_max)
 
 
 def report_document(report: MetricsReport, cfg: RunConfig) -> str:
@@ -523,15 +518,15 @@ def _encoder_check(check: str, encoder, clips):
         h = np.random.default_rng(7).standard_normal((4, blk.channels))
         weights = {"block0.theta": blk.w_theta, "block0.phi": blk.w_phi,
                    "block0.g": blk.w_g, "block0.z": blk.w_z}
-        return (lambda: sum_all(square(nonlocal_forward(Tensor(h), blk)))), weights
+        return (lambda: frobenius_sq(nonlocal_forward(Tensor(h), blk))), weights
     if check == "image_encoder":
         frames = clips.reshape(-1, clips.shape[2])
-        return (lambda: sum_all(square(encode_image(frames, encoder)))), \
+        return (lambda: frobenius_sq(encode_image(frames, encoder))), \
             encoder.image_parameters()
     if check == "video_encoder":
         def f():
             ff, vf = encode_video(clips, encoder)
-            return sum_all(square(ff)) + sum_all(square(vf))
+            return frobenius_sq(ff) + frobenius_sq(vf)
 
         return f, encoder.video_parameters()
     raise ValueError(f"unknown check {check!r}")
@@ -588,38 +583,41 @@ def parse_flag(value) -> bool:
     return flag
 
 
+# each sweep axis with the parser of its values (a value may arrive as text)
+SWEEP_AXES = {"T": int, "nonlocal_blocks": int, "bp_to_video": parse_flag,
+              "loss_set": str, "teacher_mode": str}
+
+
 def apply_axis(cfg: RunConfig, axis: str, value) -> RunConfig:
+    if axis not in SWEEP_AXES:
+        raise ValueError(f"unknown sweep axis {axis!r}; expected one of {tuple(SWEEP_AXES)}")
+    value = SWEEP_AXES[axis](value)
     if axis == "T":
-        return replace(cfg, t=int(value))
+        return replace(cfg, t=value)
     if axis == "nonlocal_blocks":
-        return replace(cfg, num_nonlocal_blocks=int(value))
+        return replace(cfg, num_nonlocal_blocks=value)
     if axis == "bp_to_video":
-        return replace(cfg, loss=replace(cfg.loss, bp_to_video=parse_flag(value)))
+        return replace(cfg, loss=replace(cfg.loss, bp_to_video=value))
     if axis == "loss_set":
-        if str(value) not in LOSS_SET_PRESETS:
+        if value not in LOSS_SET_PRESETS:
             raise ValueError(f"unknown loss_set {value!r}; expected one of "
                              f"{tuple(LOSS_SET_PRESETS)}")
-        return replace(cfg, loss=cfg.loss.with_terms(LOSS_SET_PRESETS[str(value)]))
-    if axis == "teacher_mode":
-        return replace(cfg, teacher_mode=str(value))
-    raise ValueError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
+        return replace(cfg, loss=cfg.loss.with_terms(LOSS_SET_PRESETS[value]))
+    return replace(cfg, teacher_mode=value)
 
 
 def sweep(axis: str, values, cfg: RunConfig) -> list[dict]:
     """Train and evaluate one run per axis value; each row carries the
-    I2V/I2I/V2V top-1 and mAP for that value."""
+    parsed value and the I2V/I2I/V2V top-1 and mAP for it."""
     # every value is validated before the first run starts
     if not values:
         raise ValueError(f"no {axis} value to sweep")
     run_cfgs = [apply_axis(cfg, axis, value) for value in values]
     rows = []
     for value, run_cfg in zip(values, run_cfgs):
-        result = train(run_cfg)
-        row = {"axis": axis, "value": value}
-        for protocol in PROTOCOLS:
-            rep = evaluate_result(result, protocol)
-            row[protocol] = {"top1": rep.cmc[0], "map": rep.map}
-        rows.append(row)
+        reports = evaluate_result(train(run_cfg))
+        rows.append({"axis": axis, "value": SWEEP_AXES[axis](value),
+                     **{p: {"top1": r.cmc[0], "map": r.map} for p, r in reports.items()}})
     return rows
 
 

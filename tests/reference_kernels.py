@@ -4,7 +4,8 @@ The training-step kernels appear as they were before they were fused or
 rewritten in place; the equivalence tests require the package's kernels to
 match them bit for bit, value and gradient. The primitives that only tests
 use live here too: ``shift``, ``mean_all``, ``gather`` and
-``log_softmax_rows``, which build the unfused chains, ``transpose``, and
+``log_softmax_rows``, which build the unfused chains, ``transpose``,
+``square`` and ``sum_all``, which build scalar test objectives, and
 ``softmax_rows``, the plain row softmax that ``group_attention`` is checked
 against.
 """
@@ -21,6 +22,24 @@ def transpose(a: Tensor) -> Tensor:
 
     def bw(g):
         return (g.T,)
+
+    return ad._record(out, (a,), bw)
+
+
+def square(a: Tensor) -> Tensor:
+    out = Tensor(a.data * a.data)
+
+    def bw(g):
+        return (2.0 * a.data * g,)
+
+    return ad._record(out, (a,), bw)
+
+
+def sum_all(a: Tensor) -> Tensor:
+    out = Tensor(a.data.sum())
+
+    def bw(g):
+        return (np.full_like(a.data, float(g)),)
 
     return ad._record(out, (a,), bw)
 

@@ -216,31 +216,25 @@ def test_criterion_5_mining_oracle():
 # benchmark runs shared by criteria 6-9
 # ---------------------------------------------------------------------------
 
+# the loss_set preset and bp_to_video flag of each benchmark variant
+VARIANTS = {"full": ("full", False), "baseline": ("baseline", False),
+            "i2v-tri": ("i2v-tri", False), "integrated-tri": ("integrated-tri", False),
+            "full-bp": ("full", True)}
+
+
 @pytest.fixture(scope="session")
 def benchmark_runs():
     runs = {}
     timings = {}
-    for preset in ("full", "baseline", "i2v-tri", "integrated-tri"):
+    for name, (preset, bp_to_video) in VARIANTS.items():
         start = time.time()
         metrics = []
         for seed in SEEDS:
-            cfg = apply_axis(benchmark_config(seed=seed), "loss_set", preset)
-            result = train(cfg)
-            metrics.append({
-                "I2V": evaluate_result(result, "I2V"),
-                "V2V": evaluate_result(result, "V2V"),
-            })
-        runs[preset] = metrics
-        timings[preset] = time.time() - start
-    start = time.time()
-    metrics = []
-    for seed in SEEDS:
-        cfg = apply_axis(apply_axis(benchmark_config(seed=seed), "loss_set", "full"),
-                         "bp_to_video", True)
-        result = train(cfg)
-        metrics.append({"V2V": evaluate_result(result, "V2V")})
-    runs["full-bp"] = metrics
-    timings["full-bp"] = time.time() - start
+            cfg = apply_axis(apply_axis(benchmark_config(seed=seed), "loss_set", preset),
+                             "bp_to_video", bp_to_video)
+            metrics.append(evaluate_result(train(cfg), ("I2V", "V2V")))
+        runs[name] = metrics
+        timings[name] = time.time() - start
     return runs, timings
 
 
@@ -307,8 +301,8 @@ def test_criterion_10_determinism():
     b = train(cfg)
     logs_equal = a.log_lines == b.log_lines
     ckpt_equal = checkpoint_text(a) == checkpoint_text(b)
-    rep_a = report_document(evaluate_result(a, "I2V"), cfg)
-    rep_b = report_document(evaluate_result(b, "I2V"), cfg)
+    rep_a = report_document(evaluate_result(a, ("I2V",))["I2V"], cfg)
+    rep_b = report_document(evaluate_result(b, ("I2V",))["I2V"], cfg)
     ok = logs_equal and ckpt_equal and rep_a == rep_b
     announce(10, ok, f"two runs at fixed seed: training logs identical "
                      f"({logs_equal}), checkpoints identical ({ckpt_equal}), "

@@ -20,11 +20,11 @@ from i2vmatch.autodiff import (
     mean_row_groups,
     pairwise_euclidean,
     relu,
-    sum_all,
 )
 
 import reference_kernels as ref
-from reference_kernels import gather, log_softmax_rows, mean_all, shift, softmax_rows, transpose
+from reference_kernels import (gather, log_softmax_rows, mean_all, shift, softmax_rows, square,
+                               sum_all, transpose)
 
 
 @pytest.fixture(autouse=True)
@@ -147,20 +147,20 @@ def test_backward_sum_is_ones():
 
 def test_backward_squared_norm():
     x = Tensor([1.0, 2.0], requires_grad=True)
-    backward(sum_all(ad.square(x)))
+    backward(sum_all(square(x)))
     np.testing.assert_array_equal(x.grad, [2.0, 4.0])
 
 
 def test_backward_requires_scalar():
     x = Tensor(np.ones((2, 2)), requires_grad=True)
     with pytest.raises(ShapeError):
-        backward(ad.square(x))
+        backward(square(x))
 
 
 def test_backward_additivity():
     rng = np.random.default_rng(3)
     x = Tensor(rng.standard_normal((3, 2)), requires_grad=True)
-    l1 = sum_all(ad.square(x))
+    l1 = sum_all(square(x))
     l2 = mean_all(relu(x))
     backward(l1)
     backward(l2)
@@ -174,7 +174,7 @@ def test_stop_gradient_blocks_flow():
     x = Tensor([[1.0, 2.0]], requires_grad=True)
     y = x.detach()
     assert not y.requires_grad
-    loss = sum_all(ad.square(y))
+    loss = sum_all(square(y))
     assert not loss.requires_grad
     with pytest.raises(ValueError):
         backward(loss)
@@ -185,7 +185,7 @@ def test_tape_reverse_execution_order():
     tape = ad.active_tape()
     x = Tensor([[1.0, 2.0]], requires_grad=True)
     a = relu(x)
-    b = ad.square(a)
+    b = square(a)
     c = sum_all(b)
     outs = [e.out for e in tape.entries]
     assert outs == [a, b, c]
@@ -230,7 +230,7 @@ def test_active_tape_raises_outside_a_tape():
 def test_backward_writes_grad_only_to_leaves():
     x = Tensor([[1.0, -2.0, 3.0]], requires_grad=True)
     a = relu(x)
-    b = ad.square(a)
+    b = square(a)
     c = sum_all(b)
     backward(c)
     assert a.grad is None and b.grad is None and c.grad is None
@@ -249,7 +249,7 @@ def test_gradcheck_matmul(seed):
     b = rand(rng, 4, 2)
 
     def f(x):
-        return sum_all(ad.square(matmul(x, b)))
+        return sum_all(square(matmul(x, b)))
 
     rep = grad_check(f, rand(rng, 3, 4))
     assert rep.passed and rep.max_rel_err <= 1e-6
@@ -260,7 +260,7 @@ def test_gradcheck_softmax(seed):
     rng = np.random.default_rng(seed)
 
     def f(x):
-        return sum_all(ad.square(softmax_rows(x)))
+        return sum_all(square(softmax_rows(x)))
 
     rep = grad_check(f, rand(rng, 4, 5))
     assert rep.passed and rep.max_rel_err <= 1e-6
@@ -281,12 +281,12 @@ def test_gradcheck_softmax_first_component():
     "make",
     [
         lambda x: sum_all(relu(x)),
-        lambda x: mean_all(ad.square(x)),
+        lambda x: mean_all(square(x)),
         lambda x: frobenius_sq(x),
-        lambda x: sum_all(ad.square(log_softmax_rows(x))),
-        lambda x: sum_all(ad.square(mean_row_groups(x, 2))),
-        lambda x: sum_all(ad.square(transpose(x))),
-        lambda x: sum_all(ad.square(shift(ad.scale(x, 1.7), 0.3))),
+        lambda x: sum_all(square(log_softmax_rows(x))),
+        lambda x: sum_all(square(mean_row_groups(x, 2))),
+        lambda x: sum_all(square(transpose(x))),
+        lambda x: sum_all(square(shift(ad.scale(x, 1.7), 0.3))),
     ],
     ids=["relu", "sq-mean", "frob", "logsoftmax", "groupmean", "transpose", "affine"],
 )
@@ -356,7 +356,7 @@ def test_gradcheck_group_attention(seed, group):
     for t in (q, k, v):
         t.requires_grad = True
     reports = grad_check_params(
-        lambda: sum_all(ad.square(group_attention(q, k, v, group))),
+        lambda: sum_all(square(group_attention(q, k, v, group))),
         {"q": q, "k": k, "v": v})
     for name, rep in reports.items():
         assert rep.passed and rep.max_rel_err <= 1e-6, (name, rep)
@@ -391,7 +391,7 @@ def test_gradcheck_detects_planted_factor_two():
         return ad._record(out, (x,), bw)
 
     def f(x):
-        return sum_all(ad.square(bad_double(x)))
+        return sum_all(square(bad_double(x)))
 
     rep = grad_check(f, Tensor(np.array([[1.0, 2.0], [0.5, 1.5]])))
     assert not rep.passed
@@ -412,7 +412,7 @@ def test_gradcheck_reports_nonfinite_coordinate():
 def test_no_grad_disables_recording():
     x = Tensor([[1.0]], requires_grad=True)
     with ad.no_grad():
-        y = ad.square(x)
+        y = square(x)
     assert not y.requires_grad
 
 

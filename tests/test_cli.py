@@ -1,4 +1,5 @@
 import json
+import warnings
 from dataclasses import fields, is_dataclass, replace
 
 import pytest
@@ -347,3 +348,24 @@ def test_gradcheck_rejects_bad_tol(capsys, tol):
     out, err = capsys.readouterr()
     assert out == ""  # no check ran
     assert "tol" in err and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["synth", "train"])
+@pytest.mark.parametrize("drift", [float("nan"), float("inf"), 1e308],
+                         ids=["nan", "inf", "overflow"])
+def test_non_finite_synthetic_frames_exit_1(tmp_path, capsys, command, drift):
+    # json accepts NaN and Infinity, and 1e308 overflows to inf in the drift
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"synth": {"drift_scale": drift, "num_identities": 10},
+                                "trunk": {"input_dim": 20},
+                                "loss": {"num_identities": 10}}))
+    out = tmp_path / "out"
+    argv = (["synth", "--config", str(path), "--out", str(out)] if command == "synth" else
+            ["train", "--config", str(path), "--epochs", "1", "--batches-per-epoch", "2",
+             "--out-dir", str(out)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # numpy warns of the inf and NaN it makes
+        assert main(argv) == 1
+    err = assert_one_error_line(capsys)
+    assert err.startswith("error:") and "identity 0 camera 0" in err and "non-finite" in err
+    assert not out.is_file() and not (out.is_dir() and any(out.iterdir()))

@@ -14,6 +14,7 @@ from i2vmatch.evaluation import (
     MetricsReport,
     build_index,
     cmc,
+    evaluate,
     extract_gallery_features,
     mean_average_precision,
     rank_queries,
@@ -343,3 +344,48 @@ def test_protocol_uses_right_encoders():
         v.frames[1:] = 999.0  # poison the non-first frames
     rep = run_protocol("I2I", ds, params, clip_len=8, k_max=4)
     assert rep.cmc[0] == 1.0
+
+
+def multi_camera_cohort():
+    """Four cameras per identity: three relevant gallery videos per query."""
+    cfg = SyntheticConfig(num_identities=8, cameras_per_identity=4, frames_per_video=(9, 20),
+                          input_dim=4, seed=6)
+    return generate_dataset(cfg), small_encoder(seed=2)
+
+
+def test_evaluate_builds_each_side_once(monkeypatch):
+    ds, params = multi_camera_cohort()
+    calls = {"build_index": 0, "extract_gallery_features": 0}
+    for name in calls:
+        real = getattr(evaluation, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(evaluation, name, counted)
+    reports = evaluate(ds, params, clip_len=8, k_max=5)
+    assert list(reports) == ["I2V", "I2I", "V2V"]
+    # image and video sides of the query and of the gallery split
+    assert calls == {"build_index": 4, "extract_gallery_features": 2}
+
+
+@pytest.mark.parametrize("protocols", [("I2V", "I2I", "V2V"), ("V2V", "I2I", "I2V"),
+                                       ("I2I", "V2V"), ("V2V", "I2V"), ("I2I",)])
+def test_evaluate_matches_separate_protocol_runs(protocols):
+    ds, params = multi_camera_cohort()
+    reports = evaluate(ds, params, protocols, clip_len=8, k_max=5)
+    assert list(reports) == list(protocols)
+    for protocol, report in reports.items():
+        alone = run_protocol(protocol, ds, params, clip_len=8, k_max=5)
+        assert report.to_dict() == alone.to_dict()
+
+
+@pytest.mark.parametrize("protocols", [("X2X",), ("I2V", "i2v"), ("I2V", "V2V", "V2I")])
+def test_evaluate_rejects_unknown_protocol_before_encoding(monkeypatch, protocols):
+    def no_side(*args, **kwargs):
+        raise AssertionError("a side was encoded")
+
+    monkeypatch.setattr(evaluation, "build_index", no_side)
+    with pytest.raises(ValueError, match="unknown protocol"):
+        evaluate(*multi_camera_cohort(), protocols)

@@ -311,8 +311,8 @@ def test_fixed_seed_bitwise_identical_runs():
     a, b = train(cfg), train(cfg)
     assert a.log_lines == b.log_lines
     assert checkpoint_text(a) == checkpoint_text(b)
-    ra = evaluate_result(a, "I2V")
-    rb = evaluate_result(b, "I2V")
+    ra = evaluate_result(a, ("I2V",))["I2V"]
+    rb = evaluate_result(b, ("I2V",))["I2V"]
     assert ra.to_dict() == rb.to_dict()
 
 
@@ -332,10 +332,10 @@ def test_checkpoint_roundtrip_bytes(tmp_path):
 
 def test_checkpoint_preserves_evaluation(tmp_path):
     result = train(tiny_config())
-    direct = evaluate_result(result, "I2V")
+    direct = evaluate_result(result, ("I2V",))["I2V"]
     path = tmp_path / "ckpt.txt"
     save_checkpoint(result, path)
-    again = evaluate_result(load_checkpoint(path), "I2V")
+    again = evaluate_result(load_checkpoint(path), ("I2V",))["I2V"]
     assert direct.to_dict() == again.to_dict()
 
 
