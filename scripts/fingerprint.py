@@ -16,6 +16,11 @@ Prints one JSON object of sha256 digests:
   the metrics report of each protocol and the average precision of each
   of its queries alone (``eval.multi.<protocol>``). A moved last bit of
   one AP need not move the mean, so each AP is digested;
+- with the t=4 video encoder, the video-side features of the 120 videos of
+  that cohort cut to 1 to 40 frames, at a clip length of 4, so videos hold
+  1 to 10 clips, some fewer frames than one clip, and encoder batches split
+  videos (``export_features.clips``); the benchmark's own videos hold two
+  32-frame clips each;
 - the ``sweep --out`` rows of two short sweeps on the benchmark config,
   ``bp_to_video`` off and on and ``T`` at 2 and 4, which cover the
   three-protocol evaluation pass and the parsed axis values
@@ -33,14 +38,15 @@ two source trees and diff the outputs:
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import tempfile
 from dataclasses import replace
 from pathlib import Path
 
 from i2vmatch import cli, evaluation
-from i2vmatch.data import generate_dataset
-from i2vmatch.evaluation import PROTOCOLS, mean_average_precision, run_protocol
+from i2vmatch.data import VideoRecord, generate_dataset
+from i2vmatch.evaluation import PROTOCOLS, build_index, mean_average_precision, run_protocol
 from i2vmatch.losses import LossConfig
 from i2vmatch.training import (benchmark_config, checkpoint_text, gradcheck_suite,
                                 save_checkpoint, train)
@@ -58,6 +64,11 @@ SWEEPS = {
     "bp_to_video": ("--values", "off,on", "--epochs", "2", "--batches-per-epoch", "25"),
     "T": ("--values", "2,4", "--epochs", "1", "--batches-per-epoch", "10"),
 }
+
+# the ``export_features.clips`` cohort: frames kept per video, in turn, and
+# the clip length, which cuts them into 1, 1, 1, 2, 3, 4, 5, 7, 9, 10 clips
+CLIP_COHORT_LENGTHS = (1, 3, 4, 5, 9, 14, 20, 27, 33, 40)
+CLIP_COHORT_CLIP_LEN = 4
 
 
 def _sha256(text) -> str:
@@ -97,6 +108,15 @@ def _multi_relevant_digests(result) -> dict[str, str]:
     return digests
 
 
+def _clip_cohort_digest(result) -> str:
+    dataset = generate_dataset(replace(result.config.synth, cameras_per_identity=12))
+    videos = [VideoRecord(v.identity, v.camera, v.frames[:n])
+              for v, n in zip(dataset.query + dataset.gallery,
+                              itertools.cycle(CLIP_COHORT_LENGTHS))]
+    index = build_index("video", videos, result.encoder, CLIP_COHORT_CLIP_LEN)
+    return _sha256(index.features.tobytes())
+
+
 def main():
     digests = {}
     with tempfile.TemporaryDirectory() as tmp:
@@ -108,6 +128,7 @@ def main():
             if name == "t4":
                 save_checkpoint(result, out / "checkpoint.txt")
                 digests.update(_multi_relevant_digests(result))
+                digests["export_features.clips"] = _clip_cohort_digest(result)
         ckpt = str(out / "checkpoint.txt")
         _cli("synth", "--out", str(out / "synth.txt"))
         digests["synth"] = _sha256((out / "synth.txt").read_bytes())

@@ -248,9 +248,10 @@ def group_attention(q: Tensor, k: Tensor, v: Tensor, group: int) -> Tensor:
         raise ShapeError(f"group_attention: {m} rows not divisible into groups of {group}")
     n, e = m // group, vd.shape[1]
     q3, k3, v3 = qd.reshape(n, group, d), kd.reshape(n, group, d), vd.reshape(n, group, e)
-    logits = q3 @ k3.transpose(0, 2, 1)
-    ex = np.exp(logits - logits.max(axis=2, keepdims=True))
-    att = ex / ex.sum(axis=2, keepdims=True)
+    att = q3 @ k3.transpose(0, 2, 1)  # softmax in place: no block-sized temporaries
+    att -= att.max(axis=2, keepdims=True)
+    np.exp(att, out=att)
+    att /= att.sum(axis=2, keepdims=True)
     out = Tensor((att @ v3).reshape(m, e))
 
     def bw(g):

@@ -123,9 +123,9 @@ def cmd_synth(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _load_config(args)
+    result = train(cfg)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    result = train(cfg)
     ckpt = out_dir / "checkpoint.txt"
     save_checkpoint(result, ckpt)
     log = out_dir / "train_log.jsonl"

@@ -58,12 +58,11 @@ class SyntheticConfig:
             raise ValueError("input_dim must be positive")
         for name in ("prototype_scale", "camera_offset_scale", "drift_scale",
                      "frame_noise_scale"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
-        if not 0.0 <= self.occlusion_prob <= 1.0:
-            raise ValueError("occlusion_prob must be in [0, 1]")
-        if not 0.0 <= self.occlusion_mask_fraction <= 1.0:
-            raise ValueError("occlusion_mask_fraction must be in [0, 1]")
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and non-negative")
+        for name in ("occlusion_prob", "occlusion_mask_fraction"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1]")
         if self.prototype_rank is not None and not 1 <= self.prototype_rank <= self.input_dim:
             raise ValueError("prototype_rank must be in 1..input_dim")
         if self.num_eval_identities is not None:
@@ -149,6 +148,7 @@ class ClipBatch:
     provenance: tuple[tuple[int, int, int], ...]  # (identity, camera, start)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # VideoRecord rejects what overflows
 def generate_dataset(cfg: SyntheticConfig) -> SyntheticDataset:
     """Deterministically emit one video per (identity, camera) pair.
 
@@ -170,15 +170,15 @@ def generate_dataset(cfg: SyntheticConfig) -> SyntheticDataset:
     lo, hi = cfg.frames_per_video
     for ident in range(cfg.num_identities):
         for cam in range(cfg.cameras_per_identity):
-            offset = cfg.camera_offset_scale * rng.standard_normal(dim)
+            # identity plus camera offset, summed once per video, not per frame
+            view = prototypes[ident] + cfg.camera_offset_scale * rng.standard_normal(dim)
             length = int(rng.integers(lo, hi + 1))
             drift_a = cfg.drift_scale * rng.standard_normal(dim)
             drift_b = cfg.drift_scale * rng.standard_normal(dim)
             frames = np.empty((length, dim))
             for t in range(length):
                 alpha = t / (length - 1) if length > 1 else 0.0
-                frame = (prototypes[ident] + offset
-                         + (1.0 - alpha) * drift_a + alpha * drift_b
+                frame = (view + (1.0 - alpha) * drift_a + alpha * drift_b
                          + cfg.frame_noise_scale * rng.standard_normal(dim))
                 # frame 0 is the enrollment view serving as the query image
                 # and stays occlusion-free (it still carries noise)

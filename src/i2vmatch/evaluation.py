@@ -3,11 +3,11 @@
 Three protocols share one machinery: image-to-video (query = first frame
 of each query video through the image network, gallery = full videos
 through the video network), image-to-image (both sides are first frames),
-and video-to-video (both sides are full videos). Gallery videos are split
-into fixed-length clips, the clips are encoded and pooled in bounded
-batches, and the video's feature is the mean over its clips. Rankings are
-by Euclidean distance with stable index tie-breaking, scored with CMC
-top-k curves and mean average precision.
+and video-to-video (both sides are full videos). Videos are cut into
+fixed-length clips by frame-row index arithmetic; each bounded encoder
+batch gathers its clips' rows with one index, and a video's feature is the
+mean over its clips. Rankings are by Euclidean distance with stable index
+tie-breaking, scored with CMC top-k curves and mean average precision.
 """
 
 from __future__ import annotations
@@ -79,42 +79,34 @@ class MetricsReport:
         return f"{self.protocol:>4}  " + "  ".join(cells)
 
 
-def split_into_clips(frames: np.ndarray, clip_len: int) -> list[np.ndarray]:
-    """Consecutive clip_len-frame chunks; a short final chunk is repeated
-    cyclically up to clip_len (same duplication rule as training clips)."""
-    if clip_len < 1:
-        raise ValueError("clip_len must be >= 1")
-    length = frames.shape[0]
-    if length == 0:
-        raise ValueError("empty video")
-    clips = [frames[start:start + clip_len] for start in range(0, length, clip_len)]
-    last = clips[-1]  # the one chunk that may be short
-    clips[-1] = np.tile(last, (-(-clip_len // len(last)), 1))[:clip_len]
-    return clips
-
-
 def extract_gallery_features(videos: list[VideoRecord], params: EncoderParams,
                              clip_len: int = 32) -> GalleryIndex:
-    """Encode each video as the mean of its per-clip pooled features.
-
-    The clips of consecutive videos go through the video encoder together,
-    at most ``GALLERY_BATCH_POSITIONS`` positions per call, so the encoder's
-    working memory stays bounded however long the gallery is.
-    """
-    clips, counts = [], []
-    for v in videos:
-        parts = split_into_clips(v.frames, clip_len)
-        clips.extend(parts)
-        counts.append(len(parts))
+    """Encode each video as the mean of its clips' pooled features: its
+    consecutive ``clip_len``-frame chunks, a short last one repeated
+    cyclically. Clips of consecutive videos are encoded together, at most
+    ``GALLERY_BATCH_POSITIONS`` positions per call, so memory stays bounded."""
+    if clip_len < 1:
+        raise ValueError("clip_len must be >= 1")
+    lengths = np.array([v.length for v in videos], dtype=np.intp)
+    counts = -(-lengths // clip_len)
+    first = np.cumsum(counts) - counts  # each video's first clip
+    # per clip: its start in its video, its frames before the repeat, its rows
+    start = (np.arange(counts.sum()) - np.repeat(first, counts)) * clip_len
+    avail = np.minimum(clip_len, np.repeat(lengths, counts) - start)
+    start += np.repeat(np.cumsum(lengths) - lengths, counts)
+    rows = start[:, None] + np.arange(clip_len) % avail[:, None]
+    frames = np.concatenate([v.frames for v in videos])
     per_call = max(1, GALLERY_BATCH_POSITIONS // (clip_len * params.config.positions_per_frame))
-    rows = []
     with no_grad():
-        for start in range(0, len(clips), per_call):
-            _, vf = encode_video(np.stack(clips[start:start + per_call]), params)
-            rows.append(vf.data)
-    clip_feats = np.concatenate(rows) if rows else np.zeros((0, params.config.output_dim))
-    feats = [clip_feats[end - c:end].mean(axis=0) for end, c in zip(np.cumsum(counts), counts)]
-    return GalleryIndex(feats, [v.identity for v in videos], [v.camera for v in videos])
+        clip_feats = np.concatenate([encode_video(frames[rows[s:s + per_call]], params)[1].data
+                                     for s in range(0, len(rows), per_call)])
+    # clip j of all videos at once: the sequential sum of .mean(axis=0), where
+    # np.add.reduceat would add a pairwise sum of the later clips to the first
+    feats = clip_feats[first]
+    for j in range(1, counts.max(initial=1)):
+        feats[counts > j] += clip_feats[first[counts > j] + j]
+    return GalleryIndex(feats / counts[:, None], [v.identity for v in videos],
+                        [v.camera for v in videos])
 
 
 def rank_queries(query_feats: np.ndarray, gallery: GalleryIndex) -> np.ndarray:
@@ -159,8 +151,12 @@ def mean_average_precision(rankings: np.ndarray, query_ids, gallery_ids) -> floa
     hits = _hit_matrix(rankings, query_ids, gallery_ids)
     precision = np.cumsum(hits, axis=1) / np.arange(1, hits.shape[1] + 1)
     # a mean per row over its own hits: one sum over a whole row would add
-    # zeros between the hits and move the last bit
-    return float(np.mean([row[hit].mean() for row, hit in zip(precision, hits)]))
+    # zeros between the hits and move the last bit; one (rows, c) mean per hit count c
+    counts, ap = hits.sum(axis=1), np.empty(len(hits))
+    for c in np.unique(counts):
+        rows = counts == c
+        ap[rows] = precision[rows][hits[rows]].reshape(-1, c).mean(axis=1)
+    return float(np.mean(ap))
 
 
 def build_index(kind: str, videos: list[VideoRecord], params: EncoderParams,

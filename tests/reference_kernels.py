@@ -1,13 +1,15 @@
 """Reference forms of kernels, for tests only.
 
 The training-step kernels appear as they were before they were fused or
-rewritten in place; the equivalence tests require the package's kernels to
-match them bit for bit, value and gradient. The primitives that only tests
-use live here too: ``shift``, ``mean_all``, ``gather`` and
-``log_softmax_rows``, which build the unfused chains, ``transpose``,
-``square`` and ``sum_all``, which build scalar test objectives, and
-``softmax_rows``, the plain row softmax that ``group_attention`` is checked
-against.
+rewritten in place, ``group_attention`` with its out-of-place softmax among
+them; the equivalence tests require the package's kernels to match them bit
+for bit, value and gradient. ``split_into_clips`` is the per-video clip
+split that gallery extraction once called, kept as the oracle for its
+vectorized frame rows. The primitives that only tests use live here too:
+``shift``, ``mean_all``, ``gather`` and ``log_softmax_rows``, which build
+the unfused chains, ``transpose``, ``square`` and ``sum_all``, which build
+scalar test objectives, and ``softmax_rows``, the plain row softmax that
+``group_attention`` is checked against.
 """
 
 import numpy as np
@@ -111,6 +113,28 @@ def softmax_rows(a: Tensor) -> Tensor:
     return ad._record(Tensor(y), (a,), bw)
 
 
+def group_attention(q: Tensor, k: Tensor, v: Tensor, group: int) -> Tensor:
+    """Block softmax attention with an out-of-place softmax."""
+    qd, kd, vd = q.data, k.data, v.data
+    (m, d), e = qd.shape, vd.shape[1]
+    n = m // group
+    q3, k3, v3 = qd.reshape(n, group, d), kd.reshape(n, group, d), vd.reshape(n, group, e)
+    logits = q3 @ k3.transpose(0, 2, 1)
+    ex = np.exp(logits - logits.max(axis=2, keepdims=True))
+    att = ex / ex.sum(axis=2, keepdims=True)
+    out = Tensor((att @ v3).reshape(m, e))
+
+    def bw(g):
+        g3 = g.reshape(n, group, e)
+        g_att = g3 @ v3.transpose(0, 2, 1)
+        g_logits = att * (g_att - (g_att * att).sum(axis=2, keepdims=True))
+        return ((g_logits @ k3).reshape(m, d),
+                (g_logits.transpose(0, 2, 1) @ q3).reshape(m, d),
+                (att.transpose(0, 2, 1) @ g3).reshape(m, e))
+
+    return ad._record(out, (q, k, v), bw)
+
+
 def relu(a: Tensor) -> Tensor:
     mask = a.data > 0
     out = Tensor(np.where(mask, a.data, 0.0))
@@ -153,6 +177,20 @@ def cross_entropy_mean(logits: Tensor, labels) -> Tensor:
     n = logits.data.shape[0]
     picked = gather(log_softmax_rows(logits), np.arange(n), labels)
     return scale(mean_all(picked), -1.0)
+
+
+def split_into_clips(frames: np.ndarray, clip_len: int) -> list[np.ndarray]:
+    """Consecutive clip_len-frame chunks; a short final chunk is repeated
+    cyclically up to clip_len (same duplication rule as training clips)."""
+    if clip_len < 1:
+        raise ValueError("clip_len must be >= 1")
+    length = frames.shape[0]
+    if length == 0:
+        raise ValueError("empty video")
+    clips = [frames[start:start + clip_len] for start in range(0, length, clip_len)]
+    last = clips[-1]  # the one chunk that may be short
+    clips[-1] = np.tile(last, (-(-clip_len // len(last)), 1))[:clip_len]
+    return clips
 
 
 class Adam:

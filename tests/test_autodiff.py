@@ -497,6 +497,22 @@ def test_pairwise_euclidean_matches_reference_expression(form):
                       leaves)
 
 
+@pytest.mark.parametrize("group", [1, 4, 32, 96])
+@pytest.mark.parametrize("scale", [1.0, 30.0], ids=["unit", "peaked"])
+def test_group_attention_matches_out_of_place_softmax(group, scale):
+    # 96 rows as in a 3-clip video batch; at scale 30 the logits span
+    # hundreds, so the max subtraction and exp underflow are exercised
+    rng = np.random.default_rng(group)
+    q, k = (Tensor(scale * rng.standard_normal((96, 8)), requires_grad=True) for _ in "qk")
+    v = Tensor(rng.standard_normal((96, 5)), requires_grad=True)
+    w = Tensor(rng.standard_normal((5, 3)))
+    np.testing.assert_array_equal(ref.bits(group_attention(q, k, v, group).data),
+                                  ref.bits(ref.group_attention(q, k, v, group).data))
+    _assert_same_bits(lambda: sum_all(matmul(group_attention(q, k, v, group), w)),
+                      lambda: sum_all(matmul(ref.group_attention(q, k, v, group), w)),
+                      [q, k, v])
+
+
 @settings(max_examples=200)
 @given(hnp.arrays(np.float64, st.integers(1, 64),
                   elements=st.floats(allow_nan=True, allow_infinity=True,

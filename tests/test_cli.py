@@ -350,22 +350,43 @@ def test_gradcheck_rejects_bad_tol(capsys, tol):
     assert "tol" in err and len(err.strip().splitlines()) == 1
 
 
-@pytest.mark.parametrize("command", ["synth", "train"])
-@pytest.mark.parametrize("drift", [float("nan"), float("inf"), 1e308],
-                         ids=["nan", "inf", "overflow"])
-def test_non_finite_synthetic_frames_exit_1(tmp_path, capsys, command, drift):
-    # json accepts NaN and Infinity, and 1e308 overflows to inf in the drift
+def non_finite_drift_config(tmp_path, drift):
     path = tmp_path / "c.json"
     path.write_text(json.dumps({"synth": {"drift_scale": drift, "num_identities": 10},
                                 "trunk": {"input_dim": 20},
                                 "loss": {"num_identities": 10}}))
+    return path
+
+
+@pytest.mark.parametrize("command", ["synth", "train"])
+@pytest.mark.parametrize("drift", [float("nan"), float("inf"), 1e308],
+                         ids=["nan", "inf", "overflow"])
+def test_non_finite_synthetic_frames_exit_1(tmp_path, capsys, command, drift):
+    # json accepts NaN and Infinity, which the config rejects; 1e308 is
+    # finite but overflows to inf in the drift, which the video check rejects
+    path = non_finite_drift_config(tmp_path, drift)
     out = tmp_path / "out"
     argv = (["synth", "--config", str(path), "--out", str(out)] if command == "synth" else
             ["train", "--config", str(path), "--epochs", "1", "--batches-per-epoch", "2",
              "--out-dir", str(out)])
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # numpy warns of the inf and NaN it makes
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         assert main(argv) == 1
+    assert [str(w.message) for w in caught] == []
     err = assert_one_error_line(capsys)
-    assert err.startswith("error:") and "identity 0 camera 0" in err and "non-finite" in err
-    assert not out.is_file() and not (out.is_dir() and any(out.iterdir()))
+    assert err.startswith("error:") and "Warning" not in err
+    if drift == 1e308:
+        assert "identity 0 camera 0" in err and "non-finite" in err
+    else:
+        assert "drift_scale must be finite and non-negative" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("drift", [float("nan"), 1e308], ids=["nan", "overflow"])
+def test_failed_train_leaves_no_out_dir(tmp_path, capsys, drift):
+    out = tmp_path / "runs" / "fresh"
+    argv = ["train", "--config", str(non_finite_drift_config(tmp_path, drift)),
+            "--epochs", "1", "--batches-per-epoch", "2", "--out-dir", str(out)]
+    assert main(argv) == 1
+    assert_one_error_line(capsys)
+    assert not (tmp_path / "runs").exists()

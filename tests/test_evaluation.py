@@ -19,8 +19,9 @@ from i2vmatch.evaluation import (
     mean_average_precision,
     rank_queries,
     run_protocol,
-    split_into_clips,
 )
+
+from reference_kernels import split_into_clips
 
 
 def gallery_of(feats, ids, cams=None):
@@ -90,6 +91,44 @@ def test_batched_gallery_matches_per_video_encoding(monkeypatch, positions):
         np.testing.assert_allclose(got, np.mean(clip_feats, axis=0), rtol=0, atol=1e-12)
     np.testing.assert_array_equal(index.identities, np.arange(7))
     np.testing.assert_array_equal(index.cameras, np.arange(7) % 2)
+
+
+def per_video_reference(videos, params, clip_len, per_call):
+    """Gallery features as extraction computed them video by video: each
+    video split with ``split_into_clips``, the clips stacked in the same
+    encoder batches, and each video's clip features averaged."""
+    clips, counts = [], []
+    for v in videos:
+        parts = split_into_clips(v.frames, clip_len)
+        clips.extend(parts)
+        counts.append(len(parts))
+    clip_feats = np.concatenate([encode_video(np.stack(clips[s:s + per_call]), params)[1].data
+                                 for s in range(0, len(clips), per_call)])
+    ends = np.cumsum(counts)
+    return np.stack([clip_feats[end - c:end].mean(axis=0) for end, c in zip(ends, counts)])
+
+
+@pytest.mark.parametrize("clip_len", [1, 3, 4, 32])
+def test_extraction_matches_per_video_clips_bit_for_bit(monkeypatch, clip_len):
+    # lengths 1..100 in shuffled order: short last chunks of every size, and
+    # 7 clips per encoder call, so batches split videos
+    monkeypatch.setattr(evaluation, "GALLERY_BATCH_POSITIONS", 7 * clip_len)
+    params = small_encoder(seed=7)
+    rng = np.random.default_rng(clip_len)
+    videos = [VideoRecord(i, 0, rng.standard_normal((n, 4)))
+              for i, n in enumerate(rng.permutation(np.arange(1, 101)))]
+    batches = []
+
+    def capture(clips, p):
+        batches.append(clips)
+        return encode_video(clips, p)
+
+    monkeypatch.setattr(evaluation, "encode_video", capture)
+    got = extract_gallery_features(videos, params, clip_len).features
+    want_clips = [c for v in videos for c in split_into_clips(v.frames, clip_len)]
+    assert [len(b) for b in batches[:-1]] == [7] * (len(batches) - 1)
+    np.testing.assert_array_equal(np.concatenate(batches), np.stack(want_clips))
+    np.testing.assert_array_equal(got, per_video_reference(videos, params, clip_len, 7))
 
 
 def test_empty_video_rejected():
@@ -252,6 +291,21 @@ def test_map_with_many_relevant_items_matches_per_query_reference():
             h = hit_positions.size
             aps.append((np.arange(1, h + 1) / (hit_positions + 1)).mean())
         assert mean_average_precision(rankings, query_ids, gallery_ids) == float(np.mean(aps))
+
+
+def test_map_over_many_hit_counts_in_one_call_matches_per_row_means():
+    # identity i has i + 1 gallery items, so the queries of one call have
+    # 1 to 24 hits: several groups on both sides of numpy's 8-element
+    # pairwise-summation threshold, with repeated counts in shuffled order
+    rng = np.random.default_rng(29)
+    gallery_ids = np.repeat(np.arange(24), np.arange(1, 25))
+    for _ in range(20):
+        query_ids = rng.permutation(np.concatenate([np.arange(24), rng.integers(0, 24, 16)]))
+        rankings = np.stack([rng.permutation(gallery_ids.size) for _ in query_ids])
+        hits = gallery_ids[rankings] == query_ids[:, None]
+        precision = np.cumsum(hits, axis=1) / np.arange(1, gallery_ids.size + 1)
+        want = float(np.mean([row[hit].mean() for row, hit in zip(precision, hits)]))
+        assert mean_average_precision(rankings, query_ids, gallery_ids) == want
 
 
 def test_metrics_isometry_invariance():
