@@ -33,6 +33,12 @@ two source trees and diff the outputs:
 
     PYTHONPATH=src python scripts/fingerprint.py > after.json
     PYTHONPATH=<other checkout>/src python scripts/fingerprint.py > before.json
+
+``tests/fingerprint.json`` pins these digests (``"digests"``) together with
+the ``platform_key()`` of the machine they were taken on (``"platform"``),
+and ``tests/test_fingerprint.py`` compares them one by one wherever the
+platform matches. A change that moves bytes on purpose updates that file
+with the new output of this script.
 """
 
 import contextlib
@@ -40,9 +46,12 @@ import hashlib
 import io
 import itertools
 import json
+import platform
 import tempfile
 from dataclasses import replace
 from pathlib import Path
+
+import numpy as np
 
 from i2vmatch import cli, evaluation
 from i2vmatch.data import VideoRecord, generate_dataset
@@ -69,6 +78,18 @@ SWEEPS = {
 # the clip length, which cuts them into 1, 1, 1, 2, 3, 4, 5, 7, 9, 10 clips
 CLIP_COHORT_LENGTHS = (1, 3, 4, 5, 9, 14, 20, 27, 33, 40)
 CLIP_COHORT_CLIP_LEN = 4
+
+
+def platform_key() -> dict[str, str]:
+    """Everything besides the source that the digests depend on: the Python
+    and numpy versions, the BLAS numpy links, and the machine architecture."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas['name']} {blas['version']}"
+    except (TypeError, KeyError):  # numpy before 1.26 has no dict mode
+        blas = "unknown"
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "blas": blas, "machine": platform.machine()}
 
 
 def _sha256(text) -> str:
@@ -117,7 +138,8 @@ def _clip_cohort_digest(result) -> str:
     return _sha256(index.features.tobytes())
 
 
-def main():
+def digests() -> dict[str, str]:
+    """The sha256 digest of each output named in the module docstring."""
     digests = {}
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
@@ -145,7 +167,11 @@ def main():
             digests[f"sweep.{axis}"] = _sha256(rows.read_bytes())
     outcomes = gradcheck_suite(scope="all", extended=True, seeds=(0, 1, 2))
     digests["gradcheck"] = _sha256(repr(outcomes))
-    print(json.dumps(digests, indent=2, sort_keys=True))
+    return digests
+
+
+def main():
+    print(json.dumps(digests(), indent=2, sort_keys=True))
 
 
 if __name__ == "__main__":

@@ -157,20 +157,14 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise sum; also accepts a 1*n row added to every row of m*n."""
     ad, bd = a.data, b.data
     if ad.shape == bd.shape:
-        out = Tensor(ad + bd)
-
         def bw(g):
             return g, g
-
     elif ad.ndim == 2 and bd.shape == (1, ad.shape[1]):
-        out = Tensor(ad + bd)
-
         def bw(g):
             return g, g.sum(axis=0, keepdims=True)
-
     else:
         raise ShapeError(f"add shapes disagree: {ad.shape} vs {bd.shape}")
-    return _record(out, (a, b), bw)
+    return _record(Tensor(ad + bd), (a, b), bw)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:

@@ -123,8 +123,12 @@ def cmd_synth(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _load_config(args)
-    result = train(cfg)
     out_dir = Path(args.out_dir)
+    # the directory is made only after training; a file in its way fails now
+    in_way = next(p for p in (out_dir, *out_dir.parents) if p.exists())
+    if not in_way.is_dir():
+        raise ValueError(f"--out-dir {out_dir}: {in_way} exists and is not a directory")
+    result = train(cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
     ckpt = out_dir / "checkpoint.txt"
     save_checkpoint(result, ckpt)

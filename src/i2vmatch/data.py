@@ -105,37 +105,40 @@ class SyntheticDataset:
     def identities(self) -> list[int]:
         return sorted({v.identity for v in self.videos})
 
-    @property
-    def eval_identities(self) -> set[int]:
+    def _split(self) -> tuple[set[int], set[int]]:
+        """(train, eval) identities: the last ``num_eval_identities`` are
+        held out, or the whole cast is both when none is set."""
         idents = self.identities()
         k = self.config.num_eval_identities
-        return set(idents if k is None else idents[-k:])
+        return (set(idents), set(idents)) if k is None else (set(idents[:-k]), set(idents[-k:]))
 
     @property
     def train_identities(self) -> set[int]:
-        idents = self.identities()
-        k = self.config.num_eval_identities
-        return set(idents if k is None else idents[:-k])
+        return self._split()[0]
+
+    @property
+    def eval_identities(self) -> set[int]:
+        return self._split()[1]
 
     @property
     def train_videos(self) -> list[VideoRecord]:
         train = self.train_identities
         return [v for v in self.videos if v.identity in train]
 
+    def _eval_videos(self, first_camera: bool) -> list[VideoRecord]:
+        first_cam = min(v.camera for v in self.videos)
+        evals = self.eval_identities
+        return [v for v in self.videos
+                if (v.camera == first_cam) == first_camera and v.identity in evals]
+
     @property
     def query(self) -> list[VideoRecord]:
         """Designated query videos: the first camera of every eval identity."""
-        first_cam = min(v.camera for v in self.videos)
-        evals = self.eval_identities
-        return [v for v in self.videos
-                if v.camera == first_cam and v.identity in evals]
+        return self._eval_videos(first_camera=True)
 
     @property
     def gallery(self) -> list[VideoRecord]:
-        first_cam = min(v.camera for v in self.videos)
-        evals = self.eval_identities
-        return [v for v in self.videos
-                if v.camera != first_cam and v.identity in evals]
+        return self._eval_videos(first_camera=False)
 
 
 @dataclass(frozen=True)
@@ -286,43 +289,3 @@ def save_dataset(dataset: SyntheticDataset, path) -> None:
     (row-major)."""
     write_records(path, dataset.config.input_dim,
                   ((v.identity, v.camera, v.frames) for v in dataset.videos))
-
-
-def load_dataset(path, config: SyntheticConfig | None = None) -> SyntheticDataset:
-    """Parse a dataset file back into records.
-
-    The file does not carry the generator config; pass the original
-    ``config`` to restore a held-out eval cohort, otherwise every identity
-    is treated as part of the retrieval cohort.
-    """
-    with open(path) as fh:
-        header = fh.readline().split()
-        if not header or header[0] != DATASET_FORMAT:
-            raise ValueError(f"not a {DATASET_FORMAT} file: {path}")
-        if len(header) < 2 or not header[1].startswith("dim="):
-            raise ValueError(f"malformed dataset header: {' '.join(header)!r}")
-        dim = int(header[1].removeprefix("dim="))
-        videos = []
-        for line_no, line in enumerate(fh, start=2):
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) < 3:
-                raise ValueError(f"record on line {line_no} has {len(parts)} fields; "
-                                 f"expected identity, camera, frame count and values")
-            ident, cam, length = int(parts[0]), int(parts[1]), int(parts[2])
-            values = parse_floats(parts[3:], f"record for identity {ident} camera {cam}")
-            if values.size != length * dim:
-                raise ValueError(
-                    f"record for identity {ident} camera {cam} has {values.size} "
-                    f"values, expected {length * dim}")
-            videos.append(VideoRecord(ident, cam, values.reshape(length, dim)))
-    if config is None:
-        idents = {v.identity for v in videos}
-        cams = {v.camera for v in videos}
-        lengths = [v.length for v in videos]
-        config = SyntheticConfig(num_identities=max(2, len(idents)),
-                                 cameras_per_identity=max(2, len(cams)),
-                                 frames_per_video=(min(lengths), max(lengths)),
-                                 input_dim=dim)
-    return SyntheticDataset(config=config, videos=videos)

@@ -53,6 +53,9 @@ class TrunkConfig:
             raise ValueError("hidden layer widths must be positive")
         if self.use_spatial_grid and (self.grid_hw[0] < 1 or self.grid_hw[1] < 1):
             raise ValueError("grid extents must be positive")
+        if not self.use_spatial_grid and tuple(self.grid_hw) != (1, 1):
+            raise ValueError(f"grid_hw {self.grid_hw} needs use_spatial_grid: without the "
+                             f"grid a frame is one position")
 
     @property
     def positions_per_frame(self) -> int:
@@ -103,12 +106,10 @@ class EncoderParams:
 
     def named_parameters(self) -> dict[str, Tensor]:
         out: dict[str, Tensor] = {}
-        for i, layer in enumerate(self.image_layers):
-            out[f"image.{i}.w"] = layer.w
-            out[f"image.{i}.b"] = layer.b
-        for i, layer in enumerate(self.video_layers):
-            out[f"video.{i}.w"] = layer.w
-            out[f"video.{i}.b"] = layer.b
+        for branch, layers in (("image", self.image_layers), ("video", self.video_layers)):
+            for i, layer in enumerate(layers):
+                out[f"{branch}.{i}.w"] = layer.w
+                out[f"{branch}.{i}.b"] = layer.b
         for i, blk in enumerate(self.blocks):
             out[f"block{i}.theta"] = blk.w_theta
             out[f"block{i}.phi"] = blk.w_phi
@@ -137,34 +138,25 @@ def init_encoder_params(config: TrunkConfig, num_blocks: int = 2,
     if not config.hidden_dims:
         raise ValueError("the trunk needs a hidden layer for the blocks to follow")
     rng = np.random.default_rng(seed)
-    layers = []
-    for fan_in, fan_out in config.layer_dims:
-        w = rng.standard_normal((fan_in, fan_out)) * np.sqrt(2.0 / fan_in)
-        layers.append((w, np.zeros((1, fan_out))))
-    image_layers = [
-        AffineLayer(Tensor(w.copy(), requires_grad=True), Tensor(b.copy(), requires_grad=True))
-        for w, b in layers
-    ]
-    video_layers = [
-        AffineLayer(Tensor(w.copy(), requires_grad=True), Tensor(b.copy(), requires_grad=True))
-        for w, b in layers
-    ]
+    trunk = [(rng.standard_normal((fan_in, fan_out)) * np.sqrt(2.0 / fan_in),
+              np.zeros((1, fan_out))) for fan_in, fan_out in config.layer_dims]
+
+    def copy_trunk() -> list[AffineLayer]:
+        return [AffineLayer(Tensor(w.copy(), requires_grad=True),
+                            Tensor(b.copy(), requires_grad=True)) for w, b in trunk]
+
     channels = config.hidden_dims[0]
     inner = max(1, channels // 2)
-    blocks = []
-    for _ in range(num_blocks):
-        blocks.append(
-            NonLocalParams(
-                w_theta=Tensor(rng.standard_normal((channels, inner)) / np.sqrt(channels),
-                               requires_grad=True),
-                w_phi=Tensor(rng.standard_normal((channels, inner)) / np.sqrt(channels),
-                             requires_grad=True),
-                w_g=Tensor(rng.standard_normal((channels, inner)) / np.sqrt(channels),
-                           requires_grad=True),
-                w_z=Tensor(np.zeros((inner, channels)), requires_grad=True),
-            )
-        )
-    return EncoderParams(config, image_layers, video_layers, blocks)
+
+    def projection() -> Tensor:
+        return Tensor(rng.standard_normal((channels, inner)) / np.sqrt(channels),
+                      requires_grad=True)
+
+    # the call order draws theta, then phi, then g from the stream
+    blocks = [NonLocalParams(projection(), projection(), projection(),
+                             Tensor(np.zeros((inner, channels)), requires_grad=True))
+              for _ in range(num_blocks)]
+    return EncoderParams(config, copy_trunk(), copy_trunk(), blocks)
 
 
 def nonlocal_forward(x: Tensor, params: NonLocalParams, group: int | None = None) -> Tensor:
@@ -182,43 +174,35 @@ def nonlocal_forward(x: Tensor, params: NonLocalParams, group: int | None = None
     return add(matmul(att_g, params.w_z), x)
 
 
-def _trunk_forward(x: Tensor, layers: list[AffineLayer],
-                   blocks: list[NonLocalParams] | None = None,
-                   group: int | None = None) -> Tensor:
-    """The affine+relu stack; the attention blocks, if any, run after the
-    first layer's activation."""
-    h = x
+def _encode(frames: np.ndarray, params: EncoderParams, op: str, layers: list[AffineLayer],
+            blocks: list[NonLocalParams] | tuple = (), clip_len: int = 1) -> Tensor:
+    """Run (frames, frame_len) rows position by position through the
+    affine+relu stack, with the attention blocks, if any, after the first
+    activation and grouped by ``clip_len`` frames; then average each frame's
+    positions back into one row (spatial pooling)."""
+    config = params.config
+    frames = np.asarray(frames, dtype=np.float64)
+    if frames.ndim != 2 or frames.shape[1] != config.frame_vector_len:
+        raise ShapeError(
+            f"{op} expects (frames, {config.frame_vector_len}), got {frames.shape}"
+        )
+    ppf = config.positions_per_frame
+    h = Tensor(frames.reshape(frames.shape[0] * ppf, config.input_dim))
     last = len(layers) - 1
     for i, layer in enumerate(layers):
         h = add(matmul(h, layer.w), layer.b)
         if i < last:
             h = relu(h)
             if i == 0:
-                for blk in blocks or ():
-                    h = nonlocal_forward(h, blk, group)
-    return h
-
-
-def _check_frames(frames: np.ndarray, config: TrunkConfig, op: str) -> np.ndarray:
-    frames = np.asarray(frames, dtype=np.float64)
-    if frames.ndim != 2 or frames.shape[1] != config.frame_vector_len:
-        raise ShapeError(
-            f"{op} expects (frames, {config.frame_vector_len}), got {frames.shape}"
-        )
-    return frames
+                for blk in blocks:
+                    h = nonlocal_forward(h, blk, clip_len * ppf)
+    return mean_row_groups(h, ppf) if ppf > 1 else h
 
 
 def encode_image(frames: np.ndarray, params: EncoderParams) -> Tensor:
     """Encode frames independently: row nt of the output depends only on
     frame nt. Returns an (n_frames, D) feature matrix."""
-    config = params.config
-    frames = _check_frames(frames, config, "encode_image")
-    ppf = config.positions_per_frame
-    x = Tensor(frames.reshape(frames.shape[0] * ppf, config.input_dim))
-    feats = _trunk_forward(x, params.image_layers)
-    if ppf > 1:
-        feats = mean_row_groups(feats, ppf)  # spatial average pooling
-    return feats
+    return _encode(frames, params, "encode_image", params.image_layers)
 
 
 def encode_video(clips: np.ndarray, params: EncoderParams) -> tuple[Tensor, Tensor]:
@@ -230,7 +214,6 @@ def encode_video(clips: np.ndarray, params: EncoderParams) -> tuple[Tensor, Tens
     per-frame features (N*T, D) in clip-major order, after cross-position
     mixing and spatial pooling, and each clip's temporal average (N, D).
     """
-    config = params.config
     clips = np.asarray(clips, dtype=np.float64)
     if clips.ndim == 2:
         clips = clips[None]
@@ -238,14 +221,10 @@ def encode_video(clips: np.ndarray, params: EncoderParams) -> tuple[Tensor, Tens
         raise ShapeError(f"encode_video expects (frames, frame_len) or "
                          f"(clips, frames, frame_len), got {clips.shape}")
     n, t, flen = clips.shape
-    frames = _check_frames(clips.reshape(n * t, flen), config, "encode_video")
-    if frames.shape[0] < 1:
+    if n * t < 1:
         raise ShapeError("encode_video needs at least one frame")
-    ppf = config.positions_per_frame
-    x = Tensor(frames.reshape(n * t * ppf, config.input_dim))
-    feats = _trunk_forward(x, params.video_layers, params.blocks, group=t * ppf)
-    if ppf > 1:
-        feats = mean_row_groups(feats, ppf)  # spatial average pooling
+    feats = _encode(clips.reshape(n * t, flen), params, "encode_video",
+                    params.video_layers, params.blocks, clip_len=t)
     return feats, mean_row_groups(feats, t)  # temporal average pooling
 
 

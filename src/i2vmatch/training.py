@@ -109,10 +109,11 @@ class RunConfig:
     def __post_init__(self):
         if self.teacher_mode not in TEACHER_MODES:
             raise ValueError(f"teacher_mode must be one of {TEACHER_MODES}")
-        if self.trunk.input_dim != self.synth.input_dim:
+        if self.trunk.frame_vector_len != self.synth.input_dim:
             raise ValueError(
-                f"trunk input_dim {self.trunk.input_dim} != dataset input_dim "
-                f"{self.synth.input_dim}")
+                f"trunk frame vector length {self.trunk.frame_vector_len} (input_dim "
+                f"{self.trunk.input_dim} x {self.trunk.positions_per_frame} positions) "
+                f"!= dataset input_dim {self.synth.input_dim}")
         if self.loss.num_identities != self.synth.num_train_identities:
             raise ValueError("loss num_identities must match the train identities")
         if not 0 <= self.num_nonlocal_blocks <= MAX_NONLOCAL_BLOCKS:
@@ -281,23 +282,25 @@ class TrainResult:
     log_lines: list[str]
     dataset: SyntheticDataset
 
+    def named_parameters(self) -> dict[str, Tensor]:
+        return {**self.encoder.named_parameters(), **self.classifier.named_parameters()}
+
+
+def _build(cfg: RunConfig) -> TrainResult:
+    """The dataset and the freshly drawn encoder and classifier of a run,
+    with an empty log: where training starts and a checkpoint loads into."""
+    return TrainResult(
+        config=cfg, dataset=generate_dataset(cfg.synth),
+        encoder=init_encoder_params(cfg.trunk, num_blocks=cfg.num_nonlocal_blocks,
+                                    seed=cfg.seed),
+        classifier=ClassifierParams.init(cfg.trunk.output_dim, cfg.loss.num_identities,
+                                         seed=cfg.seed + 1),
+        log_lines=[])
+
 
 def _batch_features(batch: ClipBatch, encoder: EncoderParams) -> BatchFeatures:
     i, f, v = encode_clip_batch(batch.clips, encoder)
     return BatchFeatures(i, f, v, batch.labels)
-
-
-def _check_finite(value: float, epoch: int, batch_idx: int, batch: ClipBatch):
-    if not math.isfinite(value):
-        raise TrainingAbort(
-            f"non-finite loss at epoch {epoch} batch {batch_idx}; "
-            f"clip provenance: {batch.provenance}")
-
-
-def _log_record(epoch: int, batch_idx: int, lr: float, parts: dict[str, float]) -> str:
-    rec = {"epoch": epoch, "batch": batch_idx, "lr": lr}
-    rec.update(parts)
-    return canonical_json(rec)
 
 
 def _video_phase_terms(bf: BatchFeatures, cls: ClassifierParams,
@@ -312,8 +315,7 @@ def _video_phase_terms(bf: BatchFeatures, cls: ClassifierParams,
     return terms
 
 
-def _run_phase(cfg: RunConfig, encoder: EncoderParams,
-               cls: ClassifierParams, optimizer: Adam, term_fn, sampler,
+def _run_phase(cfg: RunConfig, encoder: EncoderParams, optimizer: Adam, term_fn, sampler,
                log_lines: list[str], phase: str) -> None:
     for epoch in range(cfg.epochs):
         lr = cfg.lr_at(epoch)
@@ -325,14 +327,16 @@ def _run_phase(cfg: RunConfig, encoder: EncoderParams,
                 terms = term_fn(bf)
                 total = sum_terms(terms)
                 value = total.item()
-                _check_finite(value, epoch, b, batch)
+                if not math.isfinite(value):
+                    raise TrainingAbort(f"non-finite loss at epoch {epoch} batch {b}; "
+                                        f"clip provenance: {batch.provenance}")
                 backward(total)
                 optimizer.step(lr)
-            parts = {name: t.item() for name, t in terms.items()}
-            parts["total"] = value
+            record = {"epoch": epoch, "batch": b, "lr": lr,
+                      **{name: t.item() for name, t in terms.items()}, "total": value}
             if phase:
-                parts["phase"] = phase
-            log_lines.append(_log_record(epoch, b, lr, parts))
+                record["phase"] = phase
+            log_lines.append(canonical_json(record))
 
 
 def train(cfg: RunConfig) -> TrainResult:
@@ -342,36 +346,29 @@ def train(cfg: RunConfig) -> TrainResult:
     held-out eval cohort configured, the retrieval queries and gallery
     never appear during training.
     """
-    dataset = generate_dataset(cfg.synth)
-    encoder = init_encoder_params(cfg.trunk, num_blocks=cfg.num_nonlocal_blocks,
-                                  seed=cfg.seed)
-    cls = ClassifierParams.init(cfg.trunk.output_dim, cfg.loss.num_identities,
-                                seed=cfg.seed + 1)
-    sampler = pk_batch_sampler(dataset, cfg.p, cfg.k, cfg.t, cfg.stride,
+    result = _build(cfg)
+    encoder, cls = result.encoder, result.classifier
+    sampler = pk_batch_sampler(result.dataset, cfg.p, cfg.k, cfg.t, cfg.stride,
                                np.random.default_rng(cfg.seed + 2))
-    log_lines = [canonical_json({"format": LOG_FORMAT, "digest": config_digest(cfg)})]
+    result.log_lines.append(canonical_json({"format": LOG_FORMAT,
+                                            "digest": config_digest(cfg)}))
 
-    all_params = {**encoder.named_parameters(), **cls.named_parameters()}
+    def all_terms(bf: BatchFeatures) -> dict[str, Tensor]:
+        return loss_terms(bf, cls, cfg.loss)
+
     if cfg.teacher_mode == "simultaneous":
-        optimizer = Adam(all_params, weight_decay=cfg.weight_decay)
-        _run_phase(cfg, encoder, cls, optimizer,
-                   lambda bf: loss_terms(bf, cls, cfg.loss), sampler, log_lines,
-                   phase="")
+        phases = [("", result.named_parameters(), all_terms)]
     else:
-        # phase 1: the video branch trains alone as a teacher
-        teacher_params = {**encoder.video_parameters(), **cls.named_parameters()}
-        optimizer = Adam(teacher_params, weight_decay=cfg.weight_decay)
-        _run_phase(cfg, encoder, cls, optimizer,
-                   lambda bf: _video_phase_terms(bf, cls, cfg.loss), sampler,
-                   log_lines, phase="teacher")
-        # phase 2: freeze it; the image branch learns with all enabled losses
-        student_params = {**encoder.image_parameters(), **cls.named_parameters()}
-        optimizer = Adam(student_params, weight_decay=cfg.weight_decay)
-        _run_phase(cfg, encoder, cls, optimizer,
-                   lambda bf: loss_terms(bf, cls, cfg.loss), sampler, log_lines,
-                   phase="student")
-    return TrainResult(config=cfg, encoder=encoder, classifier=cls,
-                       log_lines=log_lines, dataset=dataset)
+        # the video branch first trains alone as a teacher; then it is
+        # frozen and the image branch learns with all enabled losses
+        phases = [("teacher", {**encoder.video_parameters(), **cls.named_parameters()},
+                   lambda bf: _video_phase_terms(bf, cls, cfg.loss)),
+                  ("student", {**encoder.image_parameters(), **cls.named_parameters()},
+                   all_terms)]
+    for phase, params, term_fn in phases:
+        _run_phase(cfg, encoder, Adam(params, weight_decay=cfg.weight_decay), term_fn,
+                   sampler, result.log_lines, phase)
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -383,9 +380,7 @@ def checkpoint_text(result: TrainResult) -> str:
     lines = [CHECKPOINT_FORMAT,
              "config " + canonical_json(cfg.to_dict()),
              "digest " + config_digest(cfg)]
-    named = {**result.encoder.named_parameters(),
-             **result.classifier.named_parameters()}
-    for name, p in named.items():
+    for name, p in result.named_parameters().items():
         lines.append(f"param {name} {p.data.shape[0]} {p.data.shape[1]}")
         lines.extend(format_floats(row) for row in p.data)
     lines.append("end")
@@ -430,11 +425,8 @@ def load_checkpoint(path) -> TrainResult:
     if lines[i:] != ["end"]:
         raise ValueError("checkpoint is truncated: no end line" if i == len(lines)
                          else f"checkpoint has text after its end line: {lines[i + 1]!r}")
-    encoder = init_encoder_params(cfg.trunk, num_blocks=cfg.num_nonlocal_blocks,
-                                  seed=cfg.seed)
-    cls = ClassifierParams.init(cfg.trunk.output_dim, cfg.loss.num_identities,
-                                seed=cfg.seed + 1)
-    named = {**encoder.named_parameters(), **cls.named_parameters()}
+    result = _build(cfg)
+    named = result.named_parameters()
     if set(named) != set(arrays):
         missing = set(named) ^ set(arrays)
         raise ValueError(f"checkpoint parameter names disagree with config: {missing}")
@@ -443,9 +435,7 @@ def load_checkpoint(path) -> TrainResult:
             raise ValueError(f"parameter {name} has shape {arrays[name].shape}, "
                              f"expected {p.data.shape}")
         p.data = arrays[name]
-    dataset = generate_dataset(cfg.synth)
-    return TrainResult(config=cfg, encoder=encoder, classifier=cls,
-                       log_lines=[], dataset=dataset)
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -549,12 +539,12 @@ def gradcheck_suite(scope: str = "all", seeds=(0,), tol: float = 1e-4,
     outcomes = []
     for seed in seeds:
         encoder, cls, clips, labels, cfg = _micro_setup(seed)
+        everything = {**encoder.named_parameters(), **cls.named_parameters()}
         for name in names:
             if name in ENCODER_CHECKS:
                 fn, params = _encoder_check(name, encoder, clips)
             else:
-                fn = _loss_fn_for(name, encoder, cls, clips, labels, cfg)
-                params = {**encoder.named_parameters(), **cls.named_parameters()}
+                fn, params = _loss_fn_for(name, encoder, cls, clips, labels, cfg), everything
             reports = grad_check_params(fn, params, tol=tol)
             worst_param, worst = max(reports.items(), key=lambda kv: kv[1].max_rel_err)
             outcomes.append(CheckOutcome(name=name, seed=seed,

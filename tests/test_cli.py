@@ -5,8 +5,9 @@ from dataclasses import fields, is_dataclass, replace
 import pytest
 
 from i2vmatch.cli import _load_config, build_parser, main
-from i2vmatch.data import load_dataset
 from i2vmatch.training import RunConfig, benchmark_config
+
+from dataset_reader import load_dataset
 
 # every config field a flag sets: the scalar RunConfig fields, then two LossConfig knobs
 BENCHMARK = benchmark_config()
@@ -390,3 +391,22 @@ def test_failed_train_leaves_no_out_dir(tmp_path, capsys, drift):
     assert main(argv) == 1
     assert_one_error_line(capsys)
     assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("nested", [False, True], ids=["file", "under_file"])
+def test_train_out_dir_in_the_way_of_a_file_exits_1_before_training(
+        tmp_path, capsys, monkeypatch, nested):
+    blocker = tmp_path / "afile"
+    blocker.write_text("kept\n")
+    out = blocker / "run" if nested else blocker
+
+    def must_not_train(cfg):
+        raise AssertionError("train ran although --out-dir cannot become a directory")
+
+    monkeypatch.setattr("i2vmatch.cli.train", must_not_train)
+    cfg = tiny_config_file(tmp_path)
+    assert main(["train", "--config", str(cfg), "--out-dir", str(out)]) == 1
+    err = assert_one_error_line(capsys)
+    assert str(blocker) in err and "not a directory" in err
+    assert blocker.read_text() == "kept\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "config.json"]

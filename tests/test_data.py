@@ -9,13 +9,14 @@ from i2vmatch.data import (
     SyntheticConfig,
     VideoRecord,
     generate_dataset,
-    load_dataset,
     pk_batch_sampler,
     sample_clip,
     save_dataset,
 )
 from i2vmatch.encoders import TrunkConfig, encode_image, init_encoder_params
 from i2vmatch.training import _batch_features
+
+from dataset_reader import load_dataset
 
 
 def quiet_cfg(**kw):

@@ -216,7 +216,7 @@ def test_spatial_grid_pooling():
 @pytest.mark.parametrize("grid", [False, True], ids=["flat", "grid"])
 def test_batched_video_matches_single_clips(grid):
     cfg = TrunkConfig(input_dim=3, hidden_dims=(6, 6), output_dim=4,
-                      use_spatial_grid=grid, grid_hw=(2, 2))
+                      use_spatial_grid=grid, grid_hw=(2, 2) if grid else (1, 1))
     params = init_encoder_params(cfg, num_blocks=2, seed=4)
     rng = np.random.default_rng(12)
     for blk in params.blocks:

@@ -8,6 +8,7 @@ from i2vmatch import encoders, losses
 from i2vmatch.autodiff import Tape, Tensor, backward
 from i2vmatch.data import SyntheticConfig
 from i2vmatch.encoders import TrunkConfig, encode_clip_batch, init_encoder_params
+from i2vmatch.evaluation import PROTOCOLS
 from i2vmatch.losses import BatchFeatures, ClassifierParams, LossConfig, loss_terms, sum_terms
 from i2vmatch.training import (
     Adam,
@@ -85,6 +86,34 @@ def test_config_validation():
         tiny_config(trunk=TrunkConfig(input_dim=9, hidden_dims=(8,), output_dim=6))
     with pytest.raises(ValueError, match="identities"):
         tiny_config(loss=LossConfig(num_identities=3))
+
+
+def test_spatial_grid_config_trains_and_scores_every_protocol():
+    # 2x2 positions of 3 values each: the dataset's frames hold 12 values
+    grid = TrunkConfig(input_dim=3, hidden_dims=(8, 8), output_dim=6,
+                       use_spatial_grid=True, grid_hw=(2, 2))
+    cfg = tiny_config(synth=replace(tiny_config().synth, input_dim=12), trunk=grid,
+                      epochs=1, batches_per_epoch=3)
+    result = train(cfg)
+    assert len(result.log_lines) == 1 + 3
+    reports = evaluate_result(result)
+    assert sorted(reports) == sorted(PROTOCOLS)
+    assert all(0.0 <= r.map <= 1.0 for r in reports.values())
+
+
+def test_spatial_grid_mismatch_rejected_when_config_is_built():
+    grid = TrunkConfig(input_dim=6, hidden_dims=(8, 8), output_dim=6,
+                       use_spatial_grid=True, grid_hw=(2, 2))
+    # 2x2 positions of 6 values make 24-value frames; the dataset's hold 6
+    with pytest.raises(ValueError, match="input_dim") as exc:
+        tiny_config(trunk=grid)
+    assert "24" in str(exc.value)
+    with pytest.raises(ValueError, match="use_spatial_grid"):
+        TrunkConfig(input_dim=6, grid_hw=(2, 2))
+    d = json.loads(json.dumps(tiny_config().to_dict()))
+    d["trunk"]["grid_hw"] = [1, 2]
+    with pytest.raises(ValueError, match="use_spatial_grid"):
+        RunConfig.from_dict(d)
 
 
 # ---------------------------------------------------------------------------
