@@ -6,6 +6,12 @@ forward pass; outside any tape nothing is recorded, as under ``no_grad``.
 gradient accumulation order is deterministic and fixed seeds give
 bitwise-identical runs. Shapes are plain numpy shapes; primitives accept
 the ranks they document and raise :class:`ShapeError` otherwise.
+
+Tape entries are few and fat: ``affine`` (matmul, bias, relu),
+``nonlocal_block`` (projections, block attention, output projection,
+residual), ``add_n``, the mined triplet hinge and the mean cross entropy
+each stand for a chain of primitives, with a backward rule that keeps the
+chain's arithmetic bit for bit; a ``benchmark_config()`` step records 28.
 """
 
 from __future__ import annotations
@@ -115,9 +121,9 @@ class Tensor:
     def zero_grad(self):
         self.grad = None
 
-    # operator sugar over the add primitive (loss sums read as a + b)
+    # operator sugar over add_n (loss sums read as a + b)
     def __add__(self, other):
-        return add(self, other)
+        return add_n([self, other])
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -153,18 +159,44 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _record(out, (a, b), bw)
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum; also accepts a 1*n row added to every row of m*n."""
-    ad, bd = a.data, b.data
-    if ad.shape == bd.shape:
-        def bw(g):
-            return g, g
-    elif ad.ndim == 2 and bd.shape == (1, ad.shape[1]):
-        def bw(g):
-            return g, g.sum(axis=0, keepdims=True)
-    else:
-        raise ShapeError(f"add shapes disagree: {ad.shape} vs {bd.shape}")
-    return _record(Tensor(ad + bd), (a, b), bw)
+def _relu_in_place(z: np.ndarray) -> np.ndarray:
+    """where(z > 0, z, 0) written over z, bit for bit, without a per-element
+    branch: fmax maps NaN to 0, and adding +0 turns the -0 it keeps into +0."""
+    np.fmax(z, 0.0, out=z)
+    z += 0.0
+    return z
+
+
+def add_n(terms: list[Tensor]) -> Tensor:
+    """Left-to-right sum of equal-shape tensors as one tape entry; every
+    input's gradient is the output's."""
+    total = terms[0].data.copy()
+    for t in terms[1:]:
+        if t.data.shape != total.shape:
+            raise ShapeError(f"add_n shapes disagree: {total.shape} vs {t.data.shape}")
+        total += t.data
+    return _record(Tensor(total), tuple(terms), lambda g: (g,) * len(terms))
+
+
+def affine(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
+    """``x @ w + b`` for an m*k x, k*n w and 1*n b, clamped by ``relu`` to
+    where(z > 0, z, 0): one tape entry with the matmul, add, relu chain's
+    arithmetic. The input gradient is skipped when x needs none."""
+    xd, wd, bd = _as2d(x, "affine"), _as2d(w, "affine"), b.data
+    if xd.shape[1] != wd.shape[0] or bd.shape != (1, wd.shape[1]):
+        raise ShapeError(f"affine operands disagree: x {xd.shape}, w {wd.shape}, b {bd.shape}")
+    z = xd @ wd
+    z += bd
+    if relu:
+        mask = z > 0
+        _relu_in_place(z)
+
+    def bw(g):
+        if relu:
+            g = g * mask
+        return (g @ wd.T if x.requires_grad else None), xd.T @ g, g.sum(axis=0, keepdims=True)
+
+    return _record(Tensor(z), (x, w, b), bw)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
@@ -185,19 +217,6 @@ def scale(a: Tensor, c: float) -> Tensor:
 
     def bw(g):
         return (g * c,)
-
-    return _record(out, (a,), bw)
-
-
-def relu(a: Tensor) -> Tensor:
-    mask = a.data > 0
-    # where(mask, a, 0) bit for bit without a per-element branch: fmax maps
-    # NaN to 0, and adding +0 turns the -0 it keeps into +0
-    out = Tensor(np.fmax(a.data, 0.0))
-    out.data += 0.0
-
-    def bw(g):
-        return (g * mask,)
 
     return _record(out, (a,), bw)
 
@@ -226,37 +245,49 @@ def mean_row_groups(a: Tensor, group: int) -> Tensor:
     return _record(out, (a,), bw)
 
 
-def group_attention(q: Tensor, k: Tensor, v: Tensor, group: int) -> Tensor:
-    """Softmax attention within consecutive blocks of ``group`` rows.
-
-    Output row i is sum_j softmax_j(q_i . k_j) v_j, with j ranging over the
-    rows of i's block; rows of different blocks never mix. q and k are m*d,
-    v is m*e, and ``group`` must divide m.
-    """
-    qd, kd, vd = (_as2d(t, "group_attention") for t in (q, k, v))
-    m, d = qd.shape
-    if kd.shape != (m, d) or vd.shape[0] != m:
-        raise ShapeError(f"group_attention operands disagree: q {qd.shape}, "
-                         f"k {kd.shape}, v {vd.shape}")
+def nonlocal_block(x: Tensor, w_theta: Tensor, w_phi: Tensor, w_g: Tensor, w_z: Tensor,
+                   group: int | None = None) -> Tensor:
+    """Residual attention ``x + A(x w_theta, x w_phi, x w_g) w_z`` within
+    consecutive blocks of ``group`` rows (all rows when None): row i of
+    A(q, k, v) is sum_j softmax_j(q_i . k_j) v_j over the rows j of i's block.
+    One tape entry for three projection matmuls, block attention, output
+    matmul and residual add; value and gradients are the chain's bit for bit."""
+    xd = _as2d(x, "nonlocal_block")
+    wt, wp, wg, wz = (w.data for w in (w_theta, w_phi, w_g, w_z))
+    (m, c), d, e = xd.shape, wt.shape[-1], wg.shape[-1]
+    shapes = [wt.shape, wp.shape, wg.shape, wz.shape]
+    if shapes != [(c, d), (c, d), (c, e), (e, c)]:
+        raise ShapeError(f"nonlocal_block operands disagree: x {xd.shape}, weights {shapes}")
+    group = m if group is None else group
     if group < 1 or m % group != 0:
-        raise ShapeError(f"group_attention: {m} rows not divisible into groups of {group}")
-    n, e = m // group, vd.shape[1]
-    q3, k3, v3 = qd.reshape(n, group, d), kd.reshape(n, group, d), vd.reshape(n, group, e)
+        raise ShapeError(f"nonlocal_block: {m} rows not divisible into groups of {group}")
+    n = m // group
+    q3 = (xd @ wt).reshape(n, group, d)
+    k3 = (xd @ wp).reshape(n, group, d)
+    v3 = (xd @ wg).reshape(n, group, e)
     att = q3 @ k3.transpose(0, 2, 1)  # softmax in place: no block-sized temporaries
     att -= att.max(axis=2, keepdims=True)
     np.exp(att, out=att)
     att /= att.sum(axis=2, keepdims=True)
-    out = Tensor((att @ v3).reshape(m, e))
+    mixed = (att @ v3).reshape(m, e)
+    out = mixed @ wz
+    out += xd
 
     def bw(g):
-        g3 = g.reshape(n, group, e)
+        g3 = (g @ wz.T).reshape(n, group, e)
         g_att = g3 @ v3.transpose(0, 2, 1)
         g_logits = att * (g_att - (g_att * att).sum(axis=2, keepdims=True))
-        return ((g_logits @ k3).reshape(m, d),
-                (g_logits.transpose(0, 2, 1) @ q3).reshape(m, d),
-                (att.transpose(0, 2, 1) @ g3).reshape(m, e))
+        g_q = (g_logits @ k3).reshape(m, d)
+        g_k = (g_logits.transpose(0, 2, 1) @ q3).reshape(m, d)
+        g_v = (att.transpose(0, 2, 1) @ g3).reshape(m, e)
+        gx = None
+        if x.requires_grad:  # summed in the order the chain's backward adds
+            gx = g + g_v @ wg.T
+            gx += g_k @ wp.T
+            gx += g_q @ wt.T
+        return gx, xd.T @ g_q, xd.T @ g_k, xd.T @ g_v, mixed.T @ g
 
-    return _record(out, (q, k, v), bw)
+    return _record(Tensor(out), (x, w_theta, w_phi, w_g, w_z), bw)
 
 
 def pairwise_euclidean(x: Tensor, y: Tensor) -> Tensor:

@@ -8,7 +8,8 @@ batch), and pools spatially then temporally. Image and video trunks have
 identical shapes but independent storage; they are initialized from the
 same random draw so the two networks start feature-identical (the
 attention blocks open as exact identities because their output projection
-starts at zero).
+starts at zero). Each trunk layer records one ``affine`` tape entry and
+each attention block one ``nonlocal_block`` entry.
 """
 
 from __future__ import annotations
@@ -20,11 +21,9 @@ import numpy as np
 from .autodiff import (
     Tensor,
     ShapeError,
-    add,
-    group_attention,
-    matmul,
+    affine,
     mean_row_groups,
-    relu,
+    nonlocal_block,
 )
 
 MAX_NONLOCAL_BLOCKS = 4
@@ -163,15 +162,7 @@ def nonlocal_forward(x: Tensor, params: NonLocalParams, group: int | None = None
     """Residual attention: each position's output is a softmax-weighted sum
     of projected features at the positions of its group (``group``
     consecutive rows; all rows when None), added back onto the input."""
-    if x.data.ndim != 2 or x.data.shape[1] != params.channels:
-        raise ShapeError(
-            f"non-local block expects (positions, {params.channels}), got {x.data.shape}"
-        )
-    theta = matmul(x, params.w_theta)
-    phi = matmul(x, params.w_phi)
-    g = matmul(x, params.w_g)
-    att_g = group_attention(theta, phi, g, x.data.shape[0] if group is None else group)
-    return add(matmul(att_g, params.w_z), x)
+    return nonlocal_block(x, params.w_theta, params.w_phi, params.w_g, params.w_z, group)
 
 
 def _encode(frames: np.ndarray, params: EncoderParams, op: str, layers: list[AffineLayer],
@@ -188,14 +179,11 @@ def _encode(frames: np.ndarray, params: EncoderParams, op: str, layers: list[Aff
         )
     ppf = config.positions_per_frame
     h = Tensor(frames.reshape(frames.shape[0] * ppf, config.input_dim))
-    last = len(layers) - 1
     for i, layer in enumerate(layers):
-        h = add(matmul(h, layer.w), layer.b)
-        if i < last:
-            h = relu(h)
-            if i == 0:
-                for blk in blocks:
-                    h = nonlocal_forward(h, blk, clip_len * ppf)
+        h = affine(h, layer.w, layer.b, relu=i < len(layers) - 1)
+        if i == 0:  # init_encoder_params guarantees a hidden layer
+            for blk in blocks:
+                h = nonlocal_forward(h, blk, clip_len * ppf)
     return mean_row_groups(h, ppf) if ppf > 1 else h
 
 

@@ -20,6 +20,7 @@ import numpy as np
 from .autodiff import (
     ShapeError,
     Tensor,
+    add_n,
     cross_entropy_mean,
     frobenius_sq,
     matmul,
@@ -213,11 +214,9 @@ def batch_hard_triplet(
 
 
 def sum_terms(terms: dict[str, Tensor]) -> Tensor:
-    """Sum of the terms, left to right in dict order; 0 when there are none."""
-    total = None
-    for t in terms.values():
-        total = t if total is None else total + t
-    return Tensor(0.0) if total is None else total
+    """Sum of the terms, left to right in dict order, as one tape entry; 0
+    when there are none."""
+    return add_n(list(terms.values())) if terms else Tensor(0.0)
 
 
 def classification_loss(bf: BatchFeatures, cls: ClassifierParams) -> Tensor:

@@ -11,6 +11,7 @@ while the image branch learns from its features.
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import json
 import math
@@ -236,38 +237,60 @@ ADAM_EPS = 1e-8
 
 class Adam:
     """Adam over a named parameter dict, with weight decay added to the raw
-    gradient before the moment updates (classic coupled form)."""
+    gradient before the moment updates (classic coupled form). The
+    parameters live in one flat buffer, raveled and concatenated in dict
+    order, each ``p.data`` a view of it; a step updates it in place."""
 
     def __init__(self, params: dict[str, Tensor], weight_decay: float = 0.0):
         self.params = dict(params)
         self.weight_decay = weight_decay
-        # moments of all parameters, raveled and concatenated in dict order
-        self.m = np.zeros(sum(p.data.size for p in self.params.values()))
-        self.v = np.zeros_like(self.m)
+        self.data = np.concatenate([p.data.ravel() for p in self.params.values()])
+        ends = np.cumsum([p.data.size for p in self.params.values()])
+        for p, part in zip(self.params.values(), np.split(self.data, ends[:-1])):
+            p.data = part.reshape(p.data.shape)
+        self.m = np.zeros_like(self.data)
+        self.v = np.zeros_like(self.data)
         self.steps = 0
 
     def zero_grad(self):
         for p in self.params.values():
             p.zero_grad()
 
-    def step(self, lr: float):
+    def step(self, lr: float) -> bool:
+        """One update; whether every parameter is finite after it (a
+        non-finite one is reported, not warned about)."""
         self.steps += 1
         bc1 = 1.0 - ADAM_BETA1 ** self.steps
         bc2 = 1.0 - ADAM_BETA2 ** self.steps
-        # one elementwise update over all parameters, each p.data a view of it
-        params = list(self.params.values())
-        data = np.concatenate([p.data.ravel() for p in params])
         g = np.concatenate([(p.grad if p.grad is not None else np.zeros_like(p.data)).ravel()
-                            for p in params])
-        if self.weight_decay:
-            g = g + self.weight_decay * data
-        self.m = ADAM_BETA1 * self.m + (1.0 - ADAM_BETA1) * g
-        self.v = ADAM_BETA2 * self.v + (1.0 - ADAM_BETA2) * (g * g)
-        m_hat = self.m / bc1
-        v_hat = self.v / bc2
-        data = data - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-        for p, part in zip(params, np.split(data, np.cumsum([p.data.size for p in params]))):
-            p.data = part.reshape(p.data.shape)
+                            for p in self.params.values()])
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self.weight_decay:
+                g += self.weight_decay * self.data
+            self.m *= ADAM_BETA1
+            self.m += (1.0 - ADAM_BETA1) * g
+            self.v *= ADAM_BETA2
+            self.v += (1.0 - ADAM_BETA2) * (g * g)
+            update = lr * (self.m / bc1)
+            update /= np.sqrt(self.v / bc2) + ADAM_EPS
+            self.data -= update
+        return bool(np.isfinite(self.data).all())
+
+
+def _keep_heap() -> bool:
+    """Have glibc keep freed memory for reuse; False where libc has no
+    ``mallopt``. Else a t=16 step's 512 KB distance matrices go back to the
+    kernel when freed and are faulted in afresh on the next step."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return False
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    # both, as fixing only one threshold stops glibc adjusting the other,
+    # which faults more than leaving both alone
+    mmap_ok = mallopt(-3, 4 << 20)  # M_MMAP_THRESHOLD: blocks under 4 MiB from the heap
+    trim_ok = mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD: keep up to 64 MiB free on top
+    return mmap_ok == trim_ok == 1
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +354,9 @@ def _run_phase(cfg: RunConfig, encoder: EncoderParams, optimizer: Adam, term_fn,
                     raise TrainingAbort(f"non-finite loss at epoch {epoch} batch {b}; "
                                         f"clip provenance: {batch.provenance}")
                 backward(total)
-                optimizer.step(lr)
+                if not optimizer.step(lr):
+                    raise TrainingAbort(f"non-finite parameters after the update at epoch "
+                                        f"{epoch} batch {b}")
             record = {"epoch": epoch, "batch": b, "lr": lr,
                       **{name: t.item() for name, t in terms.items()}, "total": value}
             if phase:
@@ -345,7 +370,14 @@ def train(cfg: RunConfig) -> TrainResult:
     Batches are sampled from the dataset's train identities; with a
     held-out eval cohort configured, the retrieval queries and gallery
     never appear during training.
+
+    On glibc this sets the process-wide malloc thresholds (see
+    ``_keep_heap``) and leaves them set: the rest of the process keeps up to
+    64 MiB of freed heap. That is on purpose, as callers that time
+    ``train`` itself, ``perfbench`` among them, would otherwise fault the
+    step's temporaries in afresh on every call.
     """
+    _keep_heap()
     result = _build(cfg)
     encoder, cls = result.encoder, result.classifier
     sampler = pk_batch_sampler(result.dataset, cfg.p, cfg.k, cfg.t, cfg.stride,

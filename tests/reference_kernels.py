@@ -1,15 +1,18 @@
 """Reference forms of kernels, for tests only.
 
 The training-step kernels appear as they were before they were fused or
-rewritten in place, ``group_attention`` with its out-of-place softmax among
-them; the equivalence tests require the package's kernels to match them bit
-for bit, value and gradient. ``split_into_clips`` is the per-video clip
-split that gallery extraction once called, kept as the oracle for its
-vectorized frame rows. The primitives that only tests use live here too:
-``shift``, ``mean_all``, ``gather`` and ``log_softmax_rows``, which build
-the unfused chains, ``transpose``, ``square`` and ``sum_all``, which build
-scalar test objectives, and ``softmax_rows``, the plain row softmax that
-``group_attention`` is checked against.
+rewritten in place: ``affine`` as the matmul, add, relu chain,
+``nonlocal_block`` as three projection matmuls, ``group_attention`` with
+its out-of-place softmax, the output matmul and the residual add, and
+``add_n`` as a chain of adds. The equivalence tests require the package's
+kernels to match them bit for bit, value and gradient. ``split_into_clips``
+is the per-video clip split that gallery extraction once called, kept as
+the oracle for its vectorized frame rows. The primitives that only tests
+use live here too: ``add``, ``relu``, ``shift``, ``mean_all``, ``gather``
+and ``log_softmax_rows``, which build the unfused chains, ``transpose``,
+``square`` and ``sum_all``, which build scalar test objectives, and
+``softmax_rows``, the plain row softmax that ``group_attention`` is checked
+against.
 """
 
 import numpy as np
@@ -135,10 +138,48 @@ def group_attention(q: Tensor, k: Tensor, v: Tensor, group: int) -> Tensor:
     return ad._record(out, (q, k, v), bw)
 
 
+def add(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise sum; also accepts a 1*n row added to every row of m*n."""
+    da, db = a.data, b.data
+    if da.shape == db.shape:
+        def bw(g):
+            return g, g
+    elif da.ndim == 2 and db.shape == (1, da.shape[1]):
+        def bw(g):
+            return g, g.sum(axis=0, keepdims=True)
+    else:
+        raise ShapeError(f"add shapes disagree: {da.shape} vs {db.shape}")
+    return ad._record(Tensor(da + db), (a, b), bw)
+
+
 def relu(a: Tensor) -> Tensor:
     mask = a.data > 0
     out = Tensor(np.where(mask, a.data, 0.0))
     return ad._record(out, (a,), lambda g: (g * mask,))
+
+
+def affine(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
+    out = add(ad.matmul(x, w), b)
+    return where_relu(out) if relu else out
+
+
+where_relu = relu  # affine's ``relu`` flag shadows the function inside it
+
+
+def nonlocal_block(x: Tensor, w_theta: Tensor, w_phi: Tensor, w_g: Tensor, w_z: Tensor,
+                   group: int | None = None) -> Tensor:
+    group = x.data.shape[0] if group is None else group
+    theta = ad.matmul(x, w_theta)
+    phi = ad.matmul(x, w_phi)
+    g = ad.matmul(x, w_g)
+    return add(ad.matmul(group_attention(theta, phi, g, group), w_z), x)
+
+
+def add_n(terms: list[Tensor]) -> Tensor:
+    total = terms[0]
+    for t in terms[1:]:
+        total = add(total, t)
+    return total
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:

@@ -15,16 +15,15 @@ from i2vmatch.autodiff import (
     frobenius_sq,
     grad_check,
     grad_check_params,
-    group_attention,
     matmul,
     mean_row_groups,
+    nonlocal_block,
     pairwise_euclidean,
-    relu,
 )
 
 import reference_kernels as ref
-from reference_kernels import (gather, log_softmax_rows, mean_all, shift, softmax_rows, square,
-                               sum_all, transpose)
+from reference_kernels import (gather, group_attention, log_softmax_rows, mean_all, relu, shift,
+                               softmax_rows, square, sum_all, transpose)
 
 
 @pytest.fixture(autouse=True)
@@ -113,7 +112,8 @@ def test_pairwise_self_symmetric_zero_diagonal(m, d, seed):
 
 
 def test_relu_sign_split():
-    np.testing.assert_array_equal(relu(Tensor([[-1.0, 2.0]])).data, [[0.0, 2.0]])
+    out = ad.affine(Tensor([[-1.0, 2.0]]), Tensor(np.eye(2)), Tensor(np.zeros((1, 2))), relu=True)
+    np.testing.assert_array_equal(out.data, [[0.0, 2.0]])
 
 
 def test_frobenius_sq_value():
@@ -280,7 +280,7 @@ def test_gradcheck_softmax_first_component():
 @pytest.mark.parametrize(
     "make",
     [
-        lambda x: sum_all(relu(x)),
+        lambda x: sum_all(ad.affine(x, Tensor(np.eye(6)), Tensor(np.zeros((1, 6))), relu=True)),
         lambda x: mean_all(square(x)),
         lambda x: frobenius_sq(x),
         lambda x: sum_all(square(log_softmax_rows(x))),
@@ -363,16 +363,58 @@ def test_gradcheck_group_attention(seed, group):
 
 
 def test_group_attention_shape_errors():
+    # the block attention runs inside nonlocal_block, which checks its groups
     rng = np.random.default_rng(13)
-    q, k, v = rand(rng, 6, 3), rand(rng, 6, 3), rand(rng, 6, 2)
+    x, w_theta, w_phi = rand(rng, 6, 4), rand(rng, 4, 3), rand(rng, 4, 3)
+    w_g, w_z = rand(rng, 4, 2), rand(rng, 2, 4)
     with pytest.raises(ShapeError, match="divisible"):
-        group_attention(q, k, v, 4)
+        nonlocal_block(x, w_theta, w_phi, w_g, w_z, 4)
     with pytest.raises(ShapeError, match="divisible"):
-        group_attention(q, k, v, 0)
+        nonlocal_block(x, w_theta, w_phi, w_g, w_z, 0)
     with pytest.raises(ShapeError, match="disagree"):
-        group_attention(q, rand(rng, 6, 2), v, 3)
+        nonlocal_block(x, w_theta, rand(rng, 4, 2), w_g, w_z, 3)
     with pytest.raises(ShapeError, match="disagree"):
-        group_attention(q, k, rand(rng, 4, 2), 2)
+        nonlocal_block(x, w_theta, w_phi, rand(rng, 5, 2), w_z, 2)
+    with pytest.raises(ShapeError, match="disagree"):
+        nonlocal_block(x, w_theta, w_phi, w_g, rand(rng, 2, 3), 2)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("group", [1, 2, 6], ids=["single", "divisor", "all"])
+def test_gradcheck_nonlocal_block(seed, group):
+    rng = np.random.default_rng(seed)
+    leaves = {"x": rand(rng, 6, 4), "theta": rand(rng, 4, 3), "phi": rand(rng, 4, 3),
+              "g": rand(rng, 4, 2), "z": rand(rng, 2, 4)}
+    for t in leaves.values():
+        t.requires_grad = True
+    reports = grad_check_params(
+        lambda: sum_all(square(nonlocal_block(*leaves.values(), group))), leaves)
+    for name, rep in reports.items():
+        assert rep.passed and rep.max_rel_err <= 1e-6, (name, rep)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("relu_on", [True, False], ids=["relu", "linear"])
+def test_gradcheck_affine(seed, relu_on):
+    rng = np.random.default_rng(seed)
+    leaves = {"x": rand(rng, 5, 4), "w": rand(rng, 4, 3), "b": rand(rng, 1, 3)}
+    for t in leaves.values():
+        t.requires_grad = True
+    reports = grad_check_params(
+        lambda: sum_all(square(ad.affine(*leaves.values(), relu=relu_on))), leaves)
+    for name, rep in reports.items():
+        assert rep.passed and rep.max_rel_err <= 1e-6, (name, rep)
+
+
+def test_affine_shape_errors():
+    rng = np.random.default_rng(14)
+    x, w = rand(rng, 5, 4), rand(rng, 4, 3)
+    with pytest.raises(ShapeError, match="disagree"):
+        ad.affine(x, rand(rng, 3, 3), rand(rng, 1, 3))
+    with pytest.raises(ShapeError, match="disagree"):
+        ad.affine(x, w, rand(rng, 5, 3))
+    with pytest.raises(ShapeError, match="2-d"):
+        ad.affine(Tensor(np.zeros(4)), w, rand(rng, 1, 3))
 
 
 def test_gradcheck_linear_is_exact():
@@ -497,20 +539,75 @@ def test_pairwise_euclidean_matches_reference_expression(form):
                       leaves)
 
 
+def _nonlocal_leaves(rng, rows, channels, inner, scale=1.0):
+    """An input and the four weights of a block; ``scale`` stretches the
+    query projection, and with it the attention logits."""
+    shapes = [(rows, channels), (channels, inner), (channels, inner), (channels, inner),
+              (inner, channels)]
+    leaves = [Tensor(rng.standard_normal(s) / np.sqrt(s[0] if i else 1), requires_grad=True)
+              for i, s in enumerate(shapes)]
+    leaves[1].data *= scale
+    return leaves
+
+
 @pytest.mark.parametrize("group", [1, 4, 32, 96])
 @pytest.mark.parametrize("scale", [1.0, 30.0], ids=["unit", "peaked"])
 def test_group_attention_matches_out_of_place_softmax(group, scale):
-    # 96 rows as in a 3-clip video batch; at scale 30 the logits span
-    # hundreds, so the max subtraction and exp underflow are exercised
+    # the in-place block softmax of nonlocal_block against the chain with the
+    # out-of-place one; 96 rows as in a 3-clip video batch, and at scale 30
+    # the logits span hundreds, so the max subtraction and exp underflow are
+    # exercised
     rng = np.random.default_rng(group)
-    q, k = (Tensor(scale * rng.standard_normal((96, 8)), requires_grad=True) for _ in "qk")
-    v = Tensor(rng.standard_normal((96, 5)), requires_grad=True)
-    w = Tensor(rng.standard_normal((5, 3)))
-    np.testing.assert_array_equal(ref.bits(group_attention(q, k, v, group).data),
-                                  ref.bits(ref.group_attention(q, k, v, group).data))
-    _assert_same_bits(lambda: sum_all(matmul(group_attention(q, k, v, group), w)),
-                      lambda: sum_all(matmul(ref.group_attention(q, k, v, group), w)),
-                      [q, k, v])
+    leaves = _nonlocal_leaves(rng, 96, 8, 5, scale)
+    w = Tensor(rng.standard_normal((8, 3)))
+    _assert_same_bits(lambda: sum_all(matmul(nonlocal_block(*leaves, group), w)),
+                      lambda: sum_all(matmul(ref.nonlocal_block(*leaves, group), w)),
+                      leaves)
+
+
+@pytest.mark.parametrize("rows, group", [(256, 16), (64, 4), (12, None)],
+                         ids=["t16", "t4", "all-rows"])
+@pytest.mark.parametrize("x_grad", [True, False], ids=["x-grad", "x-const"])
+def test_nonlocal_block_matches_unfused_chain(rows, group, x_grad):
+    # t16: a benchmark step's 16 clips of 16 frames at 24 channels
+    rng = np.random.default_rng(rows)
+    leaves = _nonlocal_leaves(rng, rows, 24, 12)
+    leaves[0].requires_grad = x_grad
+    w = Tensor(rng.standard_normal((24, 3)))
+    grads = leaves if x_grad else leaves[1:]
+    _assert_same_bits(lambda: sum_all(matmul(nonlocal_block(*leaves, group), w)),
+                      lambda: sum_all(matmul(ref.nonlocal_block(*leaves, group), w)),
+                      grads, upstream=-0.7)
+
+
+@pytest.mark.parametrize("shape", [(256, 20, 24), (256, 24, 16), (3, 2, 4)],
+                         ids=["t16-first", "t16-last", "small"])
+@pytest.mark.parametrize("relu_on", [True, False], ids=["relu", "linear"])
+@pytest.mark.parametrize("x_grad", [True, False], ids=["x-grad", "x-const"])
+def test_affine_matches_unfused_chain(shape, relu_on, x_grad):
+    rng = np.random.default_rng(sum(shape))
+    m, k, n = shape
+    x = Tensor(rng.standard_normal((m, k)), requires_grad=x_grad)
+    w = Tensor(rng.standard_normal((k, n)) / np.sqrt(k), requires_grad=True)
+    b = Tensor(rng.standard_normal((1, n)), requires_grad=True)
+    x.data[0] = 0.0  # a row of pre-activations equal to the bias
+    u = Tensor(rng.standard_normal((n, 3)))
+    _assert_same_bits(lambda: sum_all(matmul(ad.affine(x, w, b, relu=relu_on), u)),
+                      lambda: sum_all(matmul(ref.affine(x, w, b, relu=relu_on), u)),
+                      [x, w, b] if x_grad else [w, b])
+
+
+@pytest.mark.parametrize("n", [1, 2, 7])
+def test_add_n_matches_chain_of_adds(n):
+    rng = np.random.default_rng(n)
+    terms = [Tensor(rng.standard_normal(()), requires_grad=True) for _ in range(n)]
+    _assert_same_bits(lambda: ad.add_n(terms), lambda: ref.add_n(terms), terms, -0.7)
+    tape = ad.active_tape()
+    before = len(tape.entries)
+    ad.add_n(terms)
+    assert len(tape.entries) == before + 1
+    with pytest.raises(ShapeError, match="disagree"):
+        ad.add_n([Tensor(np.zeros(2)), Tensor(np.zeros((1, 2)))])
 
 
 @settings(max_examples=200)
@@ -519,7 +616,8 @@ def test_group_attention_matches_out_of_place_softmax(group, scale):
                                      allow_subnormal=True)))
 @example(np.array([-0.0, 0.0, -np.inf, np.inf, np.nan, 5e-324, -5e-324]))
 def test_relu_matches_where_bit_for_bit(a):
-    got = relu(Tensor(a)).data
+    # the clamp affine runs on its pre-activation, fed ``a``'s exact bits
+    got = ad._relu_in_place(a.copy())
     np.testing.assert_array_equal(ref.bits(got), ref.bits(np.where(a > 0, a, 0.0)))
 
 

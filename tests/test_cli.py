@@ -393,6 +393,19 @@ def test_failed_train_leaves_no_out_dir(tmp_path, capsys, drift):
     assert not (tmp_path / "runs").exists()
 
 
+def test_train_non_finite_update_exits_2_without_a_run_dir(tmp_path, capsys):
+    # benchmark defaults; the first update at a learning rate of 1e308 overflows
+    out = tmp_path / "run"
+    argv = ["train", "--learning-rate", "1e308", "--epochs", "1", "--batches-per-epoch", "2",
+            "--out-dir", str(out)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 2
+    err = assert_one_error_line(capsys)
+    assert "non-finite parameters" in err and "epoch 0 batch 0" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("nested", [False, True], ids=["file", "under_file"])
 def test_train_out_dir_in_the_way_of_a_file_exits_1_before_training(
         tmp_path, capsys, monkeypatch, nested):

@@ -1,10 +1,12 @@
 import json
+import resource
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from i2vmatch import encoders, losses
+from i2vmatch import autodiff, encoders, losses, training
 from i2vmatch.autodiff import Tape, Tensor, backward
 from i2vmatch.data import SyntheticConfig
 from i2vmatch.encoders import TrunkConfig, encode_clip_batch, init_encoder_params
@@ -176,6 +178,31 @@ def test_flat_adam_matches_per_tensor_loop(weight_decay):
                                           ref.bits(loop[k].data))
 
 
+def test_adam_updates_one_flat_buffer_in_place():
+    p = {k: Tensor(np.full((2, 3), v), requires_grad=True) for k, v in (("a", 1.0), ("b", 2.0))}
+    opt = Adam(p, weight_decay=0.0)
+    views = {k: t.data for k, t in p.items()}
+    for t in p.values():
+        assert np.shares_memory(t.data, opt.data)
+    for t in p.values():
+        t.grad = np.ones((2, 3))
+    assert opt.step(lr=0.1)
+    assert all(p[k].data is views[k] for k in p)
+    np.testing.assert_array_equal(opt.data, np.concatenate([p["a"].data.ravel(),
+                                                            p["b"].data.ravel()]))
+
+
+@pytest.mark.parametrize("batches", [1, 2])
+def test_non_finite_update_aborts_at_the_batch_that_made_it(batches):
+    # a learning rate of 1e308 overflows the very first update: the run must
+    # stop there, naming that batch, without a numpy warning
+    cfg = benchmark_config(learning_rate=1e308, epochs=1, batches_per_epoch=batches)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TrainingAbort, match="parameters .* epoch 0 batch 0$"):
+            train(cfg)
+
+
 # ---------------------------------------------------------------------------
 # the training step's objective against its reference kernels
 # ---------------------------------------------------------------------------
@@ -221,8 +248,8 @@ def test_step_matches_reference_kernels(monkeypatch, phase, bp_to_video):
     params = {**encoder.named_parameters(), **cls.named_parameters()}
     got = _step_outputs(objective, encoder, params, clips, labels)
     for module, name in ((losses, "triplet_hinge_mean"), (losses, "cross_entropy_mean"),
-                         (losses, "pairwise_euclidean"), (losses, "sub"),
-                         (encoders, "relu")):
+                         (losses, "pairwise_euclidean"), (losses, "sub"), (losses, "add_n"),
+                         (encoders, "affine"), (encoders, "nonlocal_block")):
         monkeypatch.setattr(module, name, getattr(ref, name))
     monkeypatch.setattr("i2vmatch.training.cross_entropy_mean", ref.cross_entropy_mean)
     want = _step_outputs(objective, encoder, params, clips, labels)
@@ -231,6 +258,40 @@ def test_step_matches_reference_kernels(monkeypatch, phase, bp_to_video):
         for k in want_part:
             np.testing.assert_array_equal(ref.bits(got_part[k]),
                                           ref.bits(want_part[k]), err_msg=k)
+
+
+@pytest.mark.parametrize("overrides", [{}, {"t": 16, "stride": 2}], ids=["t4", "t16"])
+def test_step_records_28_tape_entries(monkeypatch, overrides):
+    # per step: 3 image and 3 video affine layers, 2 non-local blocks, the
+    # temporal pooling, 18 loss entries and the one term sum
+    counts = []
+    real = training.backward
+
+    def counting(loss):
+        counts.append(len(autodiff.active_tape().entries))
+        return real(loss)
+
+    monkeypatch.setattr(training, "backward", counting)
+    train(benchmark_config(epochs=1, batches_per_epoch=2, **overrides))
+    assert counts == [28, 28]
+
+
+def test_t16_steps_fault_in_no_fresh_pages(monkeypatch):
+    if not training._keep_heap():
+        pytest.skip("libc has no mallopt: freed step buffers cannot be kept for reuse")
+    faults = []
+    real = training.pk_batch_sampler
+
+    def sampler(*args, **kwargs):
+        for batch in real(*args, **kwargs):
+            faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+            yield batch
+
+    monkeypatch.setattr(training, "pk_batch_sampler", sampler)
+    train(benchmark_config(t=16, stride=2, epochs=1, batches_per_epoch=41))
+    # the 30 steps after a 10-step warm-up, each from one batch request to the next
+    per_step = np.diff(faults[10:])
+    assert per_step.size == 30 and per_step.mean() < 50, per_step
 
 
 # ---------------------------------------------------------------------------
