@@ -2,6 +2,9 @@
 
 Inside ``with Tape():`` every primitive records an entry during the
 forward pass; outside any tape nothing is recorded, as under ``no_grad``.
+Tapes and ``no_grad`` share one process-wide stack, not one per thread,
+and the innermost context wins: a tape opened inside ``no_grad``
+records, and ``no_grad`` inside a tape pauses it.
 ``backward`` replays the tape in exact reverse execution order, so
 gradient accumulation order is deterministic and fixed seeds give
 bitwise-identical runs. Shapes are plain numpy shapes; primitives accept
@@ -16,7 +19,6 @@ chain's arithmetic bit for bit; a ``benchmark_config()`` step records 28.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,49 +51,42 @@ class Tape:
     """Execution-ordered record of primitives for one unit of work.
 
     Use as a context manager: primitives record only while a tape is open
-    (the trainer opens a fresh tape per batch so memory stays bounded). A
-    tape and its tensors belong to one thread; independent tapes may run
-    concurrently.
+    (the trainer opens a fresh tape per batch so memory stays bounded).
     """
 
     def __init__(self):
         self.entries: list[_TapeEntry] = []
 
     def __enter__(self) -> "Tape":
-        _STATE.stack.append(self)
+        _STACK.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        _STATE.stack.pop()
+        _STACK.pop()
         return False
 
 
-class _ThreadState(threading.local):
-    def __init__(self):
-        self.stack: list[Tape] = []
-        self.grad_enabled = True
-
-
-_STATE = _ThreadState()
+# open recording contexts, innermost last: a Tape, or None for no_grad
+_STACK: list[Tape | None] = []
 
 
 def active_tape() -> Tape:
-    """The innermost open tape of this thread; ValueError when none is open."""
-    if not _STATE.stack:
+    """The innermost open tape; ValueError when none is open or a
+    ``no_grad`` is open inside it."""
+    if not _STACK or _STACK[-1] is None:
         raise ValueError("no tape is open; primitives record only inside `with Tape():`")
-    return _STATE.stack[-1]
+    return _STACK[-1]
 
 
 class no_grad:
     """Context manager disabling tape recording (forward-only evaluation)."""
 
     def __enter__(self):
-        self._prev = _STATE.grad_enabled
-        _STATE.grad_enabled = False
+        _STACK.append(None)
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        _STATE.grad_enabled = self._prev
+        _STACK.pop()
         return False
 
 
@@ -121,18 +116,14 @@ class Tensor:
     def zero_grad(self):
         self.grad = None
 
-    # operator sugar over add_n (loss sums read as a + b)
-    def __add__(self, other):
-        return add_n([self, other])
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
 def _record(out: Tensor, inputs: tuple[Tensor, ...], backward_fn) -> Tensor:
-    if _STATE.grad_enabled and _STATE.stack and any(t.requires_grad for t in inputs):
+    if _STACK and _STACK[-1] is not None and any(t.requires_grad for t in inputs):
         out.requires_grad = True
-        _STATE.stack[-1].entries.append(_TapeEntry(out, inputs, backward_fn))
+        _STACK[-1].entries.append(_TapeEntry(out, inputs, backward_fn))
     return out
 
 
@@ -388,25 +379,18 @@ def backward(loss: Tensor) -> None:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.data.shape}")
     if not loss.requires_grad:
         raise ValueError("loss does not require grad; nothing to differentiate")
-    flow: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    holders: dict[int, Tensor] = {id(loss): loss}
+    # id -> (tensor, gradient so far) for every tensor the loss reached
+    flow: dict[int, tuple[Tensor, np.ndarray]] = {id(loss): (loss, np.ones_like(loss.data))}
     for entry in reversed(active_tape().entries):
-        g_out = flow.pop(id(entry.out), None)
-        if g_out is None:
+        held = flow.pop(id(entry.out), None)
+        if held is None:
             continue
-        del holders[id(entry.out)]
-        grads = entry.backward(g_out)
-        for inp, g_in in zip(entry.inputs, grads):
-            if not inp.requires_grad:
-                continue
-            key = id(inp)
-            if key in flow:
-                flow[key] = flow[key] + g_in
-            else:
-                flow[key] = g_in
-                holders[key] = inp
-    for key, t in holders.items():
-        g = flow[key].reshape(t.data.shape)
+        for inp, g_in in zip(entry.inputs, entry.backward(held[1])):
+            if inp.requires_grad:
+                prev = flow.get(id(inp))
+                flow[id(inp)] = (inp, g_in if prev is None else prev[1] + g_in)
+    for t, g in flow.values():
+        g = g.reshape(t.data.shape)
         t.grad = g.copy() if t.grad is None else t.grad + g
 
 
@@ -424,13 +408,6 @@ class GradCheckReport:
 
     def __post_init__(self):
         self.passed = self.max_rel_err <= self.tol
-
-
-def _compare(analytic: np.ndarray, numeric: np.ndarray, tol: float) -> GradCheckReport:
-    # relative where the reference gradient is large, absolute where it
-    # vanishes (central differences of a zero gradient still carry noise)
-    err = np.abs(analytic - numeric) / np.maximum(1.0, np.abs(numeric))
-    return GradCheckReport(max_rel_err=float(err.max()) if err.size else 0.0, tol=tol)
 
 
 def grad_check(f, x0: Tensor, step: float = 1e-5, tol: float = 1e-4) -> GradCheckReport:
@@ -486,5 +463,8 @@ def grad_check_params(
             fm = eval_loss((name, idx))
             p.data[idx] = orig
             flat_n[i] = (fp - fm) / (2.0 * step)
-        reports[name] = _compare(analytic[name], numeric, tol)
+        # relative where the reference gradient is large, absolute where it
+        # vanishes (central differences of a zero gradient still carry noise)
+        err = np.abs(analytic[name] - numeric) / np.maximum(1.0, np.abs(numeric))
+        reports[name] = GradCheckReport(max_rel_err=float(err.max(initial=0.0)), tol=tol)
     return reports

@@ -14,14 +14,12 @@ import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
-from .autodiff import NonFiniteError
 from .data import generate_dataset, save_dataset, write_records
 from .evaluation import PROTOCOL_SIDES, PROTOCOLS, build_index
 from .training import (
     RunConfig,
     SWEEP_AXES,
     TEACHER_MODES,
-    TrainingAbort,
     benchmark_config,
     config_digest,
     evaluate_result,
@@ -157,13 +155,11 @@ def cmd_eval(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     outcomes = gradcheck_suite(scope=args.scope, seeds=tuple(args.seeds), tol=args.tol)
-    failed = False
     for oc in outcomes:
         status = "ok" if oc.passed else "FAIL"
         print(f"{status:4s} {oc.name:16s} seed={oc.seed} "
               f"max_rel_err={oc.max_rel_err:.3e} worst={oc.worst_param}")
-        failed = failed or not oc.passed
-    if failed:
+    if not all(oc.passed for oc in outcomes):
         print("gradient checks FAILED")
         return 2
     print(f"all {len(outcomes)} checks passed (tol={args.tol:g})")
@@ -217,7 +213,7 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (TrainingAbort, NonFiniteError, FloatingPointError) as exc:
+    except FloatingPointError as exc:  # TrainingAbort and NonFiniteError among them
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
 

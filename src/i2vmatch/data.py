@@ -102,32 +102,21 @@ class SyntheticDataset:
     config: SyntheticConfig
     videos: list[VideoRecord]
 
-    def identities(self) -> list[int]:
-        return sorted({v.identity for v in self.videos})
-
     def _split(self) -> tuple[set[int], set[int]]:
         """(train, eval) identities: the last ``num_eval_identities`` are
         held out, or the whole cast is both when none is set."""
-        idents = self.identities()
+        idents = sorted({v.identity for v in self.videos})
         k = self.config.num_eval_identities
         return (set(idents), set(idents)) if k is None else (set(idents[:-k]), set(idents[-k:]))
 
     @property
-    def train_identities(self) -> set[int]:
-        return self._split()[0]
-
-    @property
-    def eval_identities(self) -> set[int]:
-        return self._split()[1]
-
-    @property
     def train_videos(self) -> list[VideoRecord]:
-        train = self.train_identities
+        train = self._split()[0]
         return [v for v in self.videos if v.identity in train]
 
     def _eval_videos(self, first_camera: bool) -> list[VideoRecord]:
         first_cam = min(v.camera for v in self.videos)
-        evals = self.eval_identities
+        evals = self._split()[1]
         return [v for v in self.videos
                 if (v.camera == first_cam) == first_camera and v.identity in evals]
 
@@ -207,14 +196,10 @@ def sample_clip(video: VideoRecord, t: int, stride: int,
         raise ValueError("t and stride must be >= 1")
     length = video.length
     span = (t - 1) * stride + 1
-    frames = video.frames
-    if length < span:
-        reps = -(-span // length)  # ceil
-        frames = np.tile(frames, (reps, 1))
-        length = frames.shape[0]
-    start = int(rng.integers(0, length - span + 1))
-    idx = start + stride * np.arange(t)
-    return frames[idx].copy(), start
+    # the start ranges over ceil(span / length) repeats of a short video
+    timeline = -(-span // length) * length if length < span else length
+    start = int(rng.integers(0, timeline - span + 1))
+    return video.frames[(start + stride * np.arange(t)) % length], start
 
 
 def pk_batch_sampler(dataset: SyntheticDataset, p: int, k: int, t: int,

@@ -12,7 +12,7 @@ tie-breaking, scored with CMC top-k curves and mean average precision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -64,13 +64,7 @@ class MetricsReport:
             raise ValueError("metric values must lie in [0, 1]")
 
     def to_dict(self) -> dict:
-        return {
-            "format": METRICS_FORMAT,
-            "protocol": self.protocol,
-            "cmc": list(self.cmc),
-            "map": self.map,
-            "num_queries": self.num_queries,
-        }
+        return {"format": METRICS_FORMAT, **asdict(self)}
 
     def table(self) -> str:
         ranks = [1, 5, 10, 20]

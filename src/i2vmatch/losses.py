@@ -98,16 +98,9 @@ class BatchFeatures:
             raise ShapeError(f"labels shape {self.labels.shape} != ({n},)")
 
     @property
-    def num_clips(self) -> int:
-        return self.video_feats.data.shape[0]
-
-    @property
-    def frames_per_clip(self) -> int:
-        return self.image_feats.data.shape[0] // self.num_clips
-
-    @property
     def frame_labels(self) -> np.ndarray:
-        return np.repeat(self.labels, self.frames_per_clip)
+        """The identity of each frame row: its clip's label, T times."""
+        return np.repeat(self.labels, self.image_feats.data.shape[0] // len(self.labels))
 
 
 @dataclass
@@ -167,14 +160,11 @@ def _triplet_masks(anchor_labels, candidate_labels,
         if same.shape[0] != same.shape[1]:
             raise ShapeError("exclude_self requires equally many anchors and candidates")
         np.fill_diagonal(positive, False)
-    missing_pos = ~positive.any(axis=1)
-    if missing_pos.any():
-        ident = int(anchor_labels[int(np.argmax(missing_pos))])
-        raise ValueError(f"anchor of identity {ident} has no positive candidate in batch")
-    missing_neg = ~negative.any(axis=1)
-    if missing_neg.any():
-        ident = int(anchor_labels[int(np.argmax(missing_neg))])
-        raise ValueError(f"anchor of identity {ident} has no negative candidate in batch")
+    for kind, mask in (("positive", positive), ("negative", negative)):
+        missing = ~mask.any(axis=1)
+        if missing.any():
+            ident = int(anchor_labels[int(np.argmax(missing))])
+            raise ValueError(f"anchor of identity {ident} has no {kind} candidate in batch")
     return positive, negative
 
 
@@ -227,9 +217,8 @@ def classification_loss(bf: BatchFeatures, cls: ClassifierParams) -> Tensor:
     if fl.min() < 0 or fl.max() >= num_classes:
         bad = int(fl[(fl < 0) | (fl >= num_classes)][0])
         raise ValueError(f"label {bad} out of range for {num_classes} identities")
-    image_term = cross_entropy_mean(matmul(bf.image_feats, cls.w), fl)
-    video_term = cross_entropy_mean(matmul(bf.video_feats, cls.w), cl)
-    return image_term + video_term
+    return add_n([cross_entropy_mean(matmul(bf.image_feats, cls.w), fl),
+                  cross_entropy_mean(matmul(bf.video_feats, cls.w), cl)])
 
 
 def loss_terms(bf: BatchFeatures, cls: ClassifierParams, cfg: LossConfig) -> dict[str, Tensor]:

@@ -24,6 +24,7 @@ import numpy as np
 from .autodiff import (
     Tape,
     Tensor,
+    add_n,
     backward,
     cross_entropy_mean,
     frobenius_sq,
@@ -121,7 +122,7 @@ class RunConfig:
             raise ValueError(f"num_nonlocal_blocks must be in 0..{MAX_NONLOCAL_BLOCKS}, "
                              f"got {self.num_nonlocal_blocks}")
         for name in ("p", "k", "t", "stride", "epochs", "batches_per_epoch",
-                     "eval_clip_len", "k_max"):
+                     "lr_decay_every", "eval_clip_len", "k_max"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         for name in ("learning_rate", "lr_decay_factor", "weight_decay"):
@@ -331,7 +332,7 @@ def _video_phase_terms(bf: BatchFeatures, cls: ClassifierParams,
     """Phase-1 objective for the pre-trained teacher mode: the video branch
     learns from its own classification and within-modality triplet loss."""
     terms = {"cls_vid": cross_entropy_mean(matmul(bf.video_feats, cls.w), bf.labels)}
-    if bf.num_clips >= 2:
+    if len(bf.labels) >= 2:
         terms["tri_v2v"] = batch_hard_triplet(bf.video_feats, bf.video_feats,
                                               bf.labels, bf.labels, cfg.margin,
                                               exclude_self=True)
@@ -538,8 +539,7 @@ def _encoder_check(check: str, encoder, clips):
     if check == "nonlocal_block":
         blk = encoder.blocks[0]
         h = np.random.default_rng(7).standard_normal((4, blk.channels))
-        weights = {"block0.theta": blk.w_theta, "block0.phi": blk.w_phi,
-                   "block0.g": blk.w_g, "block0.z": blk.w_z}
+        weights = {k: p for k, p in encoder.named_parameters().items() if k.startswith("block0.")}
         return (lambda: frobenius_sq(nonlocal_forward(Tensor(h), blk))), weights
     if check == "image_encoder":
         frames = clips.reshape(-1, clips.shape[2])
@@ -548,7 +548,7 @@ def _encoder_check(check: str, encoder, clips):
     if check == "video_encoder":
         def f():
             ff, vf = encode_video(clips, encoder)
-            return frobenius_sq(ff) + frobenius_sq(vf)
+            return add_n([frobenius_sq(ff), frobenius_sq(vf)])
 
         return f, encoder.video_parameters()
     raise ValueError(f"unknown check {check!r}")

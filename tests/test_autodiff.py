@@ -1,5 +1,3 @@
-import threading
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -11,6 +9,7 @@ from i2vmatch.autodiff import (
     ShapeError,
     Tape,
     Tensor,
+    add_n,
     backward,
     frobenius_sq,
     grad_check,
@@ -166,7 +165,7 @@ def test_backward_additivity():
     backward(l2)
     split = x.grad.copy()
     x.zero_grad()
-    backward(l1 + l2)
+    backward(add_n([l1, l2]))
     np.testing.assert_allclose(x.grad, split, rtol=0, atol=0)
 
 
@@ -193,38 +192,34 @@ def test_tape_reverse_execution_order():
     assert x.grad is not None
 
 
-def _outside_any_tape(fn):
-    """Run ``fn`` on a fresh thread, where no tape is open: a tape belongs
-    to the thread that opened it."""
-    out = {}
-
-    def run():
-        try:
-            out["value"] = fn()
-        except Exception as exc:
-            out["error"] = exc
-
-    worker = threading.Thread(target=run)
-    worker.start()
-    worker.join(timeout=60)
-    assert not worker.is_alive()
-    if "error" in out:
-        raise out["error"]
-    return out["value"]
-
-
-def test_primitives_outside_a_tape_record_nothing():
+def test_primitives_outside_a_tape_record_nothing(monkeypatch):
     x = Tensor(np.ones((2, 2)), requires_grad=True)
-    outs = _outside_any_tape(lambda: [matmul(x, x) for _ in range(1000)])
+    with monkeypatch.context() as m:
+        m.setattr(ad, "_STACK", [])  # outside any tape, the fixture's included
+        outs = [matmul(x, x) for _ in range(1000)]
     assert not any(o.requires_grad for o in outs)
     assert ad.active_tape().entries == []
     with pytest.raises(ValueError, match="does not require grad"):
         backward(sum_all(outs[-1]))
 
 
-def test_active_tape_raises_outside_a_tape():
+def test_active_tape_raises_outside_a_tape(monkeypatch):
+    monkeypatch.setattr(ad, "_STACK", [])
     with pytest.raises(ValueError, match="no tape is open"):
-        _outside_any_tape(ad.active_tape)
+        ad.active_tape()
+
+
+def test_no_grad_inside_a_tape_pauses_it():
+    tape = ad.active_tape()
+    x = Tensor([[1.0, -2.0]], requires_grad=True)
+    with ad.no_grad():
+        paused = matmul(x, Tensor(np.eye(2)))
+        with pytest.raises(ValueError, match="no tape is open"):
+            ad.active_tape()
+    assert not paused.requires_grad and tape.entries == []
+    assert ad.active_tape() is tape
+    resumed = matmul(x, Tensor(np.eye(2)))
+    assert resumed.requires_grad and [e.out for e in tape.entries] == [resumed]
 
 
 def test_backward_writes_grad_only_to_leaves():

@@ -243,6 +243,20 @@ def test_train_rejects_non_finite_flag(tmp_path, capsys, flag, value):
     assert not run_dir.exists()
 
 
+@pytest.mark.parametrize("value", [0, -1])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_train_rejects_lr_decay_every_below_one(tmp_path, capsys, source, value):
+    # 0 would divide by zero in lr_at; -1 would raise the rate every epoch
+    if source == "flag":
+        argv = ["--config", str(tiny_config_file(tmp_path)), "--lr-decay-every", str(value)]
+    else:
+        argv = ["--config", str(tiny_config_file(tmp_path, lr_decay_every=value))]
+    run_dir = tmp_path / "run"
+    assert main(["train", *argv, "--out-dir", str(run_dir)]) == 1
+    assert "lr_decay_every must be >= 1" in assert_one_error_line(capsys)
+    assert not run_dir.exists()
+
+
 @pytest.mark.parametrize("section,key", [(None, "learning_rate"), (None, "lr_decay_factor"),
                                          (None, "weight_decay"), ("loss", "margin")])
 def test_synth_rejects_non_finite_config_value(tmp_path, capsys, section, key):

@@ -84,7 +84,7 @@ def test_distance_transfer_two_frame_example():
     i = [[0.0, 0.0], [2.0, 0.0]]
     f = [[0.0, 0.0], [1.0, 0.0]]
     bf = make_bf(i, f, [[0.0, 0.0]], [0])
-    assert bf.frames_per_clip == 2
+    np.testing.assert_array_equal(bf.frame_labels, [0, 0])
     assert distance_transfer_loss(bf).item() == pytest.approx(1.0, abs=1e-9)
 
 
