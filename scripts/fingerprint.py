@@ -1,7 +1,10 @@
 """Byte-level fingerprint of the program's outputs, for proving that a
 refactor changed nothing.
 
-Prints one JSON object of sha256 digests:
+Prints the pin file ``tests/fingerprint.json``: one JSON object whose
+``"digests"`` are the sha256 digests below and whose ``"platform"`` is the
+``platform_key()`` of the machine they were taken on. The digests are of
+these outputs:
 
 - ``train_log`` and ``checkpoint_text`` of ``benchmark_config(seed=0)``
   runs of 2 epochs x 25 batches at t=4, at t=16 with stride 2, with the
@@ -34,11 +37,13 @@ two source trees and diff the outputs:
     PYTHONPATH=src python scripts/fingerprint.py > after.json
     PYTHONPATH=<other checkout>/src python scripts/fingerprint.py > before.json
 
-``tests/fingerprint.json`` pins these digests (``"digests"``) together with
-the ``platform_key()`` of the machine they were taken on (``"platform"``),
-and ``tests/test_fingerprint.py`` compares them one by one wherever the
-platform matches. A change that moves bytes on purpose updates that file
-with the new output of this script.
+``tests/test_fingerprint.py`` compares the digests with the pinned ones,
+one by one, wherever the platform matches. A change that moves bytes on
+purpose regenerates the pin file with
+
+    PYTHONPATH=src python scripts/fingerprint.py > tests/fingerprint.json
+
+and says why.
 """
 
 import contextlib
@@ -171,7 +176,8 @@ def digests() -> dict[str, str]:
 
 
 def main():
-    print(json.dumps(digests(), indent=2, sort_keys=True))
+    print(json.dumps({"digests": digests(), "platform": platform_key()}, indent=2,
+                     sort_keys=True))
 
 
 if __name__ == "__main__":

@@ -12,9 +12,10 @@ the ranks they document and raise :class:`ShapeError` otherwise.
 
 Tape entries are few and fat: ``affine`` (matmul, bias, relu),
 ``nonlocal_block`` (projections, block attention, output projection,
-residual), ``add_n``, the mined triplet hinge and the mean cross entropy
-each stand for a chain of primitives, with a backward rule that keeps the
-chain's arithmetic bit for bit; a ``benchmark_config()`` step records 28.
+residual), ``add_n``, ``scaled_sq_diff``, the mined triplet hinge and the
+mean cross entropy of ``x @ w`` each stand for a chain of primitives, with
+a backward rule that keeps the chain's arithmetic bit for bit; a
+``benchmark_config()`` step records 22.
 """
 
 from __future__ import annotations
@@ -137,19 +138,6 @@ def _as2d(x: Tensor, op: str) -> np.ndarray:
 # primitives
 # ---------------------------------------------------------------------------
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product of an m*k and a k*n tensor."""
-    ad, bd = _as2d(a, "matmul"), _as2d(b, "matmul")
-    if ad.shape[1] != bd.shape[0]:
-        raise ShapeError(f"matmul inner extents disagree: {ad.shape} x {bd.shape}")
-    out = Tensor(ad @ bd)
-
-    def bw(g):
-        return g @ bd.T, ad.T @ g
-
-    return _record(out, (a, b), bw)
-
-
 def _relu_in_place(z: np.ndarray) -> np.ndarray:
     """where(z > 0, z, 0) written over z, bit for bit, without a per-element
     branch: fmax maps NaN to 0, and adding +0 turns the -0 it keeps into +0."""
@@ -190,36 +178,20 @@ def affine(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
     return _record(Tensor(z), (x, w, b), bw)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
+def scaled_sq_diff(a: Tensor, b: Tensor, c: float) -> Tensor:
+    """``c`` times the sum of squared entries of ``a - b``, for equal shapes:
+    one tape entry with the sub, frobenius_sq, scale chain's arithmetic. The
+    gradient of b is skipped when b needs none."""
     if a.data.shape != b.data.shape:
-        raise ShapeError(f"sub shapes disagree: {a.data.shape} vs {b.data.shape}")
-    out = Tensor(a.data - b.data)
+        raise ShapeError(f"scaled_sq_diff shapes disagree: {a.data.shape} vs {b.data.shape}")
+    diff = a.data - b.data
+    out = Tensor(np.sum(diff * diff) * c)
 
     def bw(g):
-        # backward skips an input that needs no grad: spare the negated copy
-        return g, (-g if b.requires_grad else None)
+        ga = 2.0 * float(g * c) * diff
+        return ga, (-ga if b.requires_grad else None)
 
     return _record(out, (a, b), bw)
-
-
-def scale(a: Tensor, c: float) -> Tensor:
-    c = float(c)
-    out = Tensor(a.data * c)
-
-    def bw(g):
-        return (g * c,)
-
-    return _record(out, (a,), bw)
-
-
-def frobenius_sq(a: Tensor) -> Tensor:
-    """Sum of squared entries (squared Frobenius norm)."""
-    out = Tensor(np.sum(a.data * a.data))
-
-    def bw(g):
-        return (2.0 * float(g) * a.data,)
-
-    return _record(out, (a,), bw)
 
 
 def mean_row_groups(a: Tensor, group: int) -> Tensor:
@@ -342,24 +314,28 @@ def triplet_hinge_mean(dists: Tensor, pos, neg, margin: float) -> Tensor:
     return _record(out, (dists,), bw)
 
 
-def cross_entropy_mean(logits: Tensor, labels) -> Tensor:
-    """Mean cross entropy of row-wise logits against integer labels, one tape
-    entry for log_softmax_rows, gather, mean_all, scale(-1) with the chain's
-    arithmetic: value and gradient equal the chain's bit for bit."""
-    ad = _as2d(logits, "cross_entropy_mean")
-    rows = np.arange(ad.shape[0])
-    z = ad - ad.max(axis=1, keepdims=True)
+def cross_entropy_mean(x: Tensor, w: Tensor, labels) -> Tensor:
+    """Mean cross entropy of the logits ``x @ w`` against integer row labels:
+    one tape entry for matmul, log_softmax_rows, gather, mean_all, scale(-1),
+    whose value and gradients equal the chain's bit for bit."""
+    xd, wd = _as2d(x, "cross_entropy_mean"), _as2d(w, "cross_entropy_mean")
+    if xd.shape[1] != wd.shape[0]:
+        raise ShapeError(f"cross_entropy_mean inner extents disagree: {xd.shape} x {wd.shape}")
+    logits = xd @ wd
+    rows = np.arange(logits.shape[0])
+    z = logits - logits.max(axis=1, keepdims=True)
     lsm = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
     sm = np.exp(lsm)
     n = rows.size
     out = Tensor((lsm[rows, labels].sum() / n) * -1.0)
 
     def bw(g):
-        ga = np.zeros_like(ad)
+        ga = np.zeros_like(logits)
         ga[rows, labels] += float(g * -1.0) / n
-        return (ga - sm * ga.sum(axis=1, keepdims=True),)
+        gl = ga - sm * ga.sum(axis=1, keepdims=True)
+        return gl @ wd.T, xd.T @ gl
 
-    return _record(out, (logits,), bw)
+    return _record(out, (x, w), bw)
 
 
 # ---------------------------------------------------------------------------

@@ -22,11 +22,8 @@ from .autodiff import (
     Tensor,
     add_n,
     cross_entropy_mean,
-    frobenius_sq,
-    matmul,
     pairwise_euclidean,
-    scale,
-    sub,
+    scaled_sq_diff,
     triplet_hinge_mean,
 )
 
@@ -127,8 +124,7 @@ def feature_transfer_loss(bf: BatchFeatures, bp_to_video: bool = False) -> Tenso
     """Mean over frames of the squared distance between each image feature
     and the matching video frame feature."""
     target = _target(bf.frame_feats, bp_to_video)
-    diff = sub(bf.image_feats, target)
-    return scale(frobenius_sq(diff), 1.0 / bf.image_feats.data.shape[0])
+    return scaled_sq_diff(bf.image_feats, target, 1.0 / bf.image_feats.data.shape[0])
 
 
 def distance_transfer_loss(bf: BatchFeatures, bp_to_video: bool = False,
@@ -144,7 +140,7 @@ def distance_transfer_loss(bf: BatchFeatures, bp_to_video: bool = False,
     if d_img is None:
         d_img = pairwise_euclidean(bf.image_feats, bf.image_feats)
     d_vid = pairwise_euclidean(target, target)
-    return scale(frobenius_sq(sub(d_img, d_vid)), 1.0 / n_frames)
+    return scaled_sq_diff(d_img, d_vid, 1.0 / n_frames)
 
 
 def _triplet_masks(anchor_labels, candidate_labels,
@@ -217,8 +213,8 @@ def classification_loss(bf: BatchFeatures, cls: ClassifierParams) -> Tensor:
     if fl.min() < 0 or fl.max() >= num_classes:
         bad = int(fl[(fl < 0) | (fl >= num_classes)][0])
         raise ValueError(f"label {bad} out of range for {num_classes} identities")
-    return add_n([cross_entropy_mean(matmul(bf.image_feats, cls.w), fl),
-                  cross_entropy_mean(matmul(bf.video_feats, cls.w), cl)])
+    return add_n([cross_entropy_mean(bf.image_feats, cls.w, fl),
+                  cross_entropy_mean(bf.video_feats, cls.w, cl)])
 
 
 def loss_terms(bf: BatchFeatures, cls: ClassifierParams, cfg: LossConfig) -> dict[str, Tensor]:

@@ -27,9 +27,8 @@ from .autodiff import (
     add_n,
     backward,
     cross_entropy_mean,
-    frobenius_sq,
     grad_check_params,
-    matmul,
+    scaled_sq_diff,
 )
 from .data import (
     ClipBatch,
@@ -128,10 +127,25 @@ class RunConfig:
         for name in ("learning_rate", "lr_decay_factor", "weight_decay"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
-        if self.learning_rate <= 0 or self.lr_decay_factor <= 0:
-            raise ValueError("learning_rate and lr_decay_factor must be positive")
+        # a decay factor above 1 would raise the rate at every "decay"
+        if self.learning_rate <= 0 or not 0 < self.lr_decay_factor <= 1:
+            raise ValueError("learning_rate must be positive and lr_decay_factor in (0, 1]")
         if self.weight_decay < 0:
             raise ValueError("weight_decay must be non-negative")
+        # each term's batch shape: every triplet anchor needs a positive and a
+        # negative candidate, and a distance matrix two frames
+        counts = {"p": self.p, "k": self.k, "k*t": self.k * self.t,
+                  "p*k*t": self.p * self.k * self.t}
+        needs = {"tri_i2v": ("p",), "tri_v2i": ("p",), "tri_i2i": ("p", "k*t"),
+                 "tri_v2v": ("p", "k"), "teacher phase tri_v2v": ("p", "k"),
+                 "transfer_dist": ("p*k*t",)}
+        terms = [name for name, flag in TERM_FLAGS.items() if getattr(self.loss, flag)]
+        if self.teacher_mode == "pretrained" and self.p * self.k >= 2:
+            terms.append("teacher phase tri_v2v")  # see _video_phase_terms
+        for term in terms:
+            for key in needs.get(term, ()):
+                if counts[key] < 2:
+                    raise ValueError(f"loss term {term} needs {key} >= 2, got {counts[key]}")
 
     def lr_at(self, epoch: int) -> float:
         return self.learning_rate * self.lr_decay_factor ** (epoch // self.lr_decay_every)
@@ -331,7 +345,7 @@ def _video_phase_terms(bf: BatchFeatures, cls: ClassifierParams,
                        cfg: LossConfig) -> dict[str, Tensor]:
     """Phase-1 objective for the pre-trained teacher mode: the video branch
     learns from its own classification and within-modality triplet loss."""
-    terms = {"cls_vid": cross_entropy_mean(matmul(bf.video_feats, cls.w), bf.labels)}
+    terms = {"cls_vid": cross_entropy_mean(bf.video_feats, cls.w, bf.labels)}
     if len(bf.labels) >= 2:
         terms["tri_v2v"] = batch_hard_triplet(bf.video_feats, bf.video_feats,
                                               bf.labels, bf.labels, cfg.margin,
@@ -535,20 +549,24 @@ def _loss_fn_for(check: str, encoder, cls, clips, labels, cfg):
     return f
 
 
+def _sq_norm(t: Tensor) -> Tensor:
+    return scaled_sq_diff(t, Tensor(np.zeros_like(t.data)), 1.0)  # t - 0 is t, -0 too
+
+
 def _encoder_check(check: str, encoder, clips):
     if check == "nonlocal_block":
         blk = encoder.blocks[0]
         h = np.random.default_rng(7).standard_normal((4, blk.channels))
         weights = {k: p for k, p in encoder.named_parameters().items() if k.startswith("block0.")}
-        return (lambda: frobenius_sq(nonlocal_forward(Tensor(h), blk))), weights
+        return (lambda: _sq_norm(nonlocal_forward(Tensor(h), blk))), weights
     if check == "image_encoder":
         frames = clips.reshape(-1, clips.shape[2])
-        return (lambda: frobenius_sq(encode_image(frames, encoder))), \
+        return (lambda: _sq_norm(encode_image(frames, encoder))), \
             encoder.image_parameters()
     if check == "video_encoder":
         def f():
             ff, vf = encode_video(clips, encoder)
-            return add_n([frobenius_sq(ff), frobenius_sq(vf)])
+            return add_n([_sq_norm(ff), _sq_norm(vf)])
 
         return f, encoder.video_parameters()
     raise ValueError(f"unknown check {check!r}")

@@ -3,22 +3,58 @@
 The training-step kernels appear as they were before they were fused or
 rewritten in place: ``affine`` as the matmul, add, relu chain,
 ``nonlocal_block`` as three projection matmuls, ``group_attention`` with
-its out-of-place softmax, the output matmul and the residual add, and
-``add_n`` as a chain of adds. The equivalence tests require the package's
-kernels to match them bit for bit, value and gradient. ``split_into_clips``
-is the per-video clip split that gallery extraction once called, kept as
-the oracle for its vectorized frame rows. The primitives that only tests
-use live here too: ``add``, ``relu``, ``shift``, ``mean_all``, ``gather``
-and ``log_softmax_rows``, which build the unfused chains, ``transpose``,
-``square`` and ``sum_all``, which build scalar test objectives, and
-``softmax_rows``, the plain row softmax that ``group_attention`` is checked
-against.
+its out-of-place softmax, the output matmul and the residual add,
+``add_n`` as a chain of adds, ``scaled_sq_diff`` as the sub,
+frobenius_sq, scale chain and ``cross_entropy_mean`` as the logits matmul
+followed by the log_softmax_rows, gather, mean_all, scale(-1) chain. The
+equivalence tests require the package's kernels to match them bit for
+bit, value and gradient. ``split_into_clips`` is the per-video clip split
+that gallery extraction once called, kept as the oracle for its
+vectorized frame rows. The primitives that only tests use live here too:
+``matmul``, ``add``, ``sub``, ``relu``, ``shift``, ``scale``,
+``frobenius_sq``, ``mean_all``, ``gather`` and ``log_softmax_rows``,
+which build the unfused chains, ``transpose``, ``square`` and
+``sum_all``, which build scalar test objectives, and ``softmax_rows``,
+the plain row softmax that ``group_attention`` is checked against.
 """
 
 import numpy as np
 
 from i2vmatch import autodiff as ad
-from i2vmatch.autodiff import ShapeError, Tensor, scale
+from i2vmatch.autodiff import ShapeError, Tensor
+
+
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """Matrix product of an m*k and a k*n tensor."""
+    x, y = ad._as2d(a, "matmul"), ad._as2d(b, "matmul")
+    if x.shape[1] != y.shape[0]:
+        raise ShapeError(f"matmul inner extents disagree: {x.shape} x {y.shape}")
+    out = Tensor(x @ y)
+
+    def bw(g):
+        return g @ y.T, x.T @ g
+
+    return ad._record(out, (a, b), bw)
+
+
+def scale(a: Tensor, c: float) -> Tensor:
+    c = float(c)
+    out = Tensor(a.data * c)
+
+    def bw(g):
+        return (g * c,)
+
+    return ad._record(out, (a,), bw)
+
+
+def frobenius_sq(a: Tensor) -> Tensor:
+    """Sum of squared entries (squared Frobenius norm)."""
+    out = Tensor(np.sum(a.data * a.data))
+
+    def bw(g):
+        return (2.0 * float(g) * a.data,)
+
+    return ad._record(out, (a,), bw)
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -159,7 +195,7 @@ def relu(a: Tensor) -> Tensor:
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
-    out = add(ad.matmul(x, w), b)
+    out = add(matmul(x, w), b)
     return where_relu(out) if relu else out
 
 
@@ -169,10 +205,10 @@ where_relu = relu  # affine's ``relu`` flag shadows the function inside it
 def nonlocal_block(x: Tensor, w_theta: Tensor, w_phi: Tensor, w_g: Tensor, w_z: Tensor,
                    group: int | None = None) -> Tensor:
     group = x.data.shape[0] if group is None else group
-    theta = ad.matmul(x, w_theta)
-    phi = ad.matmul(x, w_phi)
-    g = ad.matmul(x, w_g)
-    return add(ad.matmul(group_attention(theta, phi, g, group), w_z), x)
+    theta = matmul(x, w_theta)
+    phi = matmul(x, w_phi)
+    g = matmul(x, w_g)
+    return add(matmul(group_attention(theta, phi, g, group), w_z), x)
 
 
 def add_n(terms: list[Tensor]) -> Tensor:
@@ -214,7 +250,12 @@ def triplet_hinge_mean(dists: Tensor, pos, neg, margin: float) -> Tensor:
     return mean_all(hinge)
 
 
-def cross_entropy_mean(logits: Tensor, labels) -> Tensor:
+def scaled_sq_diff(a: Tensor, b: Tensor, c: float) -> Tensor:
+    return scale(frobenius_sq(sub(a, b)), c)
+
+
+def cross_entropy_mean(x: Tensor, w: Tensor, labels) -> Tensor:
+    logits = matmul(x, w)
     n = logits.data.shape[0]
     picked = gather(log_softmax_rows(logits), np.arange(n), labels)
     return scale(mean_all(picked), -1.0)

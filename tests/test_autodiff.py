@@ -11,18 +11,17 @@ from i2vmatch.autodiff import (
     Tensor,
     add_n,
     backward,
-    frobenius_sq,
     grad_check,
     grad_check_params,
-    matmul,
     mean_row_groups,
     nonlocal_block,
     pairwise_euclidean,
 )
 
 import reference_kernels as ref
-from reference_kernels import (gather, group_attention, log_softmax_rows, mean_all, relu, shift,
-                               softmax_rows, square, sum_all, transpose)
+from reference_kernels import (frobenius_sq, gather, group_attention, log_softmax_rows, matmul,
+                               mean_all, relu, scale, shift, softmax_rows, square, sum_all,
+                               transpose)
 
 
 @pytest.fixture(autouse=True)
@@ -281,7 +280,7 @@ def test_gradcheck_softmax_first_component():
         lambda x: sum_all(square(log_softmax_rows(x))),
         lambda x: sum_all(square(mean_row_groups(x, 2))),
         lambda x: sum_all(square(transpose(x))),
-        lambda x: sum_all(square(shift(ad.scale(x, 1.7), 0.3))),
+        lambda x: sum_all(square(shift(scale(x, 1.7), 0.3))),
     ],
     ids=["relu", "sq-mean", "frob", "logsoftmax", "groupmean", "transpose", "affine"],
 )
@@ -464,7 +463,7 @@ def _value_and_grads(build, leaves, upstream):
         for t in leaves:
             t.zero_grad()
         out = build()
-        backward(ad.scale(out, upstream))
+        backward(scale(out, upstream))
         return out.data.copy(), [t.grad.copy() for t in leaves]
 
 
@@ -510,12 +509,39 @@ def test_triplet_hinge_mean_matches_unfused_chain(shape, margin, upstream):
 @pytest.mark.parametrize("rows", [256, 16])
 @pytest.mark.parametrize("upstream", [1.0, -0.7])
 def test_cross_entropy_mean_matches_unfused_chain(rows, upstream):
+    # features and the classifier weight of a benchmark step: 16 dims, 40 ids
     rng = np.random.default_rng(21)
-    logits = Tensor(3.0 * rng.standard_normal((rows, 40)), requires_grad=True)
+    x = Tensor(rng.standard_normal((rows, 16)), requires_grad=True)
+    w = Tensor(3.0 * rng.standard_normal((16, 40)) / 4.0, requires_grad=True)
     labels = rng.integers(0, 40, rows)
-    _assert_same_bits(lambda: ad.cross_entropy_mean(logits, labels),
-                      lambda: ref.cross_entropy_mean(logits, labels),
-                      [logits], upstream)
+    _assert_same_bits(lambda: ad.cross_entropy_mean(x, w, labels),
+                      lambda: ref.cross_entropy_mean(x, w, labels),
+                      [x, w], upstream)
+
+
+def test_cross_entropy_mean_shape_error_names_both_shapes():
+    with pytest.raises(ShapeError, match=r"\(4, 3\) x \(2, 5\)"):
+        ad.cross_entropy_mean(Tensor(np.zeros((4, 3))), Tensor(np.zeros((2, 5))), [0, 1, 2, 3])
+
+
+@pytest.mark.parametrize("shape", [(256, 256), (256, 16)], ids=["distances", "features"])
+@pytest.mark.parametrize("b_grad", [True, False], ids=["b-grad", "b-detached"])
+@pytest.mark.parametrize("upstream", [1.0, -0.7])
+def test_scaled_sq_diff_matches_unfused_chain(shape, b_grad, upstream):
+    # the transfer losses' shapes at t=16; a scale that is no power of two,
+    # unlike their 1/(N*T), so that every product rounds
+    rng = np.random.default_rng(23)
+    a = Tensor(rng.standard_normal(shape), requires_grad=True)
+    b = Tensor(rng.standard_normal(shape), requires_grad=b_grad)
+    b.data[0] = a.data[0]  # a row of zero differences
+    _assert_same_bits(lambda: ad.scaled_sq_diff(a, b, 0.3),
+                      lambda: ref.scaled_sq_diff(a, b, 0.3),
+                      [a, b] if b_grad else [a], upstream)
+
+
+def test_scaled_sq_diff_shape_error_names_both_shapes():
+    with pytest.raises(ShapeError, match=r"\(2, 3\) vs \(3, 2\)"):
+        ad.scaled_sq_diff(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 2))), 1.0)
 
 
 @pytest.mark.parametrize("form", ["self", "two-input"])
@@ -634,6 +660,9 @@ def test_gradcheck_triplet_hinge_mean(seed):
 def test_gradcheck_cross_entropy_mean(seed):
     rng = np.random.default_rng(seed)
     labels = rng.integers(0, 5, 4)
-    rep = grad_check(lambda x: ad.cross_entropy_mean(x, labels), rand(rng, 4, 5))
-    assert rep.passed and rep.max_rel_err <= 1e-6, rep
+    x, w = rand(rng, 4, 3), rand(rng, 3, 5)
+    x.requires_grad = w.requires_grad = True
+    reports = grad_check_params(lambda: ad.cross_entropy_mean(x, w, labels), {"x": x, "w": w})
+    for rep in reports.values():
+        assert rep.passed and rep.max_rel_err <= 1e-6, rep
 

@@ -257,6 +257,34 @@ def test_train_rejects_lr_decay_every_below_one(tmp_path, capsys, source, value)
     assert not run_dir.exists()
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_train_rejects_lr_decay_factor_above_one(tmp_path, capsys, source):
+    # a "decay" factor of 10 would raise the rate tenfold at every decay
+    if source == "flag":
+        argv = ["--config", str(tiny_config_file(tmp_path)), "--lr-decay-factor", "10"]
+    else:
+        argv = ["--config", str(tiny_config_file(tmp_path, lr_decay_factor=10.0))]
+    run_dir = tmp_path / "run"
+    assert main(["train", *argv, "--out-dir", str(run_dir)]) == 1
+    assert "lr_decay_factor in (0, 1]" in assert_one_error_line(capsys)
+    assert not run_dir.exists()
+
+
+@pytest.mark.parametrize("flag, words", [("--k", "loss term tri_v2v needs k >= 2"),
+                                         ("--p", "loss term tri_i2v needs p >= 2")])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_train_rejects_batch_shape_a_term_cannot_train(tmp_path, capsys, flag, words, source):
+    # rejected when the config is built: no dataset, no sampler warning
+    if source == "flag":
+        argv = ["--config", str(tiny_config_file(tmp_path)), flag, "1"]
+    else:
+        argv = ["--config", str(tiny_config_file(tmp_path, **{flag[2:]: 1}))]
+    run_dir = tmp_path / "run"
+    assert main(["train", *argv, "--out-dir", str(run_dir)]) == 1
+    assert words in assert_one_error_line(capsys)
+    assert not run_dir.exists()
+
+
 @pytest.mark.parametrize("section,key", [(None, "learning_rate"), (None, "lr_decay_factor"),
                                          (None, "weight_decay"), ("loss", "margin")])
 def test_synth_rejects_non_finite_config_value(tmp_path, capsys, section, key):

@@ -100,7 +100,7 @@ def test_attention_rows_sum_to_one():
     rng = np.random.default_rng(4)
     x = Tensor(rng.standard_normal((5, blk.channels)))
     att = ref.softmax_rows(
-        ad.matmul(ad.matmul(x, blk.w_theta), ref.transpose(ad.matmul(x, blk.w_phi)))
+        ref.matmul(ref.matmul(x, blk.w_theta), ref.transpose(ref.matmul(x, blk.w_phi)))
     ).data
     np.testing.assert_allclose(att.sum(axis=1), np.ones(5), atol=1e-12)
 

@@ -14,12 +14,13 @@ from pathlib import Path
 
 import pytest
 
-PINNED = json.loads(Path(__file__).with_name("fingerprint.json").read_text())
+PIN_FILE = Path(__file__).with_name("fingerprint.json")
+PINNED = json.loads(PIN_FILE.read_text())
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "fingerprint.py"
 
 
 @pytest.fixture(scope="module")
-def fingerprint():
+def script():
     spec = importlib.util.spec_from_file_location("fingerprint", SCRIPT)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
@@ -28,7 +29,12 @@ def fingerprint():
               for k in sorted(pinned.keys() | here.keys()) if pinned.get(k) != here.get(k)]
     if differ:
         pytest.skip("digests pinned on another platform: " + "; ".join(differ))
-    return module.digests()
+    return module
+
+
+@pytest.fixture(scope="module")
+def fingerprint(script):
+    return script.digests()
 
 
 def test_fingerprint_names_every_pinned_output(fingerprint):
@@ -40,3 +46,10 @@ def test_output_bytes_match_pinned_digest(fingerprint, name):
     assert fingerprint.get(name) == PINNED["digests"][name], (
         f"{name} moved; a change that moves bytes on purpose updates "
         f"tests/fingerprint.json and says why")
+
+
+def test_script_prints_the_pin_file(script, fingerprint, monkeypatch, capsys):
+    # so a change that moves bytes on purpose can regenerate the file
+    monkeypatch.setattr(script, "digests", lambda: fingerprint)
+    script.main()
+    assert capsys.readouterr().out == PIN_FILE.read_text()

@@ -1,4 +1,5 @@
 import json
+import math
 import resource
 import warnings
 from dataclasses import replace
@@ -88,6 +89,50 @@ def test_config_validation():
         tiny_config(trunk=TrunkConfig(input_dim=9, hidden_dims=(8,), output_dim=6))
     with pytest.raises(ValueError, match="identities"):
         tiny_config(loss=LossConfig(num_identities=3))
+
+
+def test_lr_decay_factor_must_decay():
+    # a factor above 1 would raise the rate at every "decay"; 1 means none
+    cfg = tiny_config(lr_decay_factor=1.0, lr_decay_every=1)
+    assert cfg.lr_at(5) == cfg.learning_rate
+    for factor in (10.0, 1.5, 0.0):
+        with pytest.raises(ValueError, match=r"lr_decay_factor in \(0, 1\]"):
+            tiny_config(lr_decay_factor=factor)
+
+
+def _only(*terms):
+    return LossConfig(num_identities=6).with_terms(terms)
+
+
+@pytest.mark.parametrize("over, words", [
+    ({"p": 1}, "tri_i2v needs p >= 2, got 1"),
+    ({"p": 1, "loss": _only("tri_i2i")}, "tri_i2i needs p >= 2, got 1"),
+    ({"k": 1}, "tri_v2v needs k >= 2, got 1"),
+    ({"k": 1, "t": 1, "loss": _only("tri_i2i")}, "tri_i2i needs k\\*t >= 2, got 1"),
+    ({"p": 1, "k": 1, "t": 1, "loss": _only("transfer_dist")},
+     "transfer_dist needs p\\*k\\*t >= 2, got 1"),
+    ({"k": 1, "teacher_mode": "pretrained", "loss": _only("cls")},
+     "teacher phase tri_v2v needs k >= 2, got 1"),
+    ({"p": 1, "teacher_mode": "pretrained", "loss": _only("cls")},
+     "teacher phase tri_v2v needs p >= 2, got 1"),
+])
+def test_config_rejects_batch_shapes_a_term_cannot_train(over, words):
+    with pytest.raises(ValueError, match=words):
+        tiny_config(**over)
+
+
+@pytest.mark.parametrize("over", [
+    {"k": 1, "loss": _only("cls", "tri_i2v", "tri_v2i", "tri_i2i", "transfer_dist")},
+    {"p": 1, "loss": _only("cls", "transfer_feat", "transfer_dist")},
+    {"p": 1, "k": 1, "t": 1, "loss": _only("cls", "transfer_feat")},
+    {"p": 1, "k": 1, "teacher_mode": "pretrained", "loss": _only("cls", "transfer_dist")},
+], ids=["k1", "p1", "pkt1", "pretrained-pk1"])
+def test_every_accepted_batch_shape_trains(over):
+    # the boundary shapes the config check lets through run a batch
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # the sampler's K=1 note
+        result = train(tiny_config(epochs=1, batches_per_epoch=1, **over))
+    assert all(math.isfinite(json.loads(line)["total"]) for line in result.log_lines[1:])
 
 
 def test_spatial_grid_config_trains_and_scores_every_protocol():
@@ -248,8 +293,8 @@ def test_step_matches_reference_kernels(monkeypatch, phase, bp_to_video):
     params = {**encoder.named_parameters(), **cls.named_parameters()}
     got = _step_outputs(objective, encoder, params, clips, labels)
     for module, name in ((losses, "triplet_hinge_mean"), (losses, "cross_entropy_mean"),
-                         (losses, "pairwise_euclidean"), (losses, "sub"), (losses, "add_n"),
-                         (encoders, "affine"), (encoders, "nonlocal_block")):
+                         (losses, "pairwise_euclidean"), (losses, "scaled_sq_diff"),
+                         (losses, "add_n"), (encoders, "affine"), (encoders, "nonlocal_block")):
         monkeypatch.setattr(module, name, getattr(ref, name))
     monkeypatch.setattr("i2vmatch.training.cross_entropy_mean", ref.cross_entropy_mean)
     want = _step_outputs(objective, encoder, params, clips, labels)
@@ -261,9 +306,11 @@ def test_step_matches_reference_kernels(monkeypatch, phase, bp_to_video):
 
 
 @pytest.mark.parametrize("overrides", [{}, {"t": 16, "stride": 2}], ids=["t4", "t16"])
-def test_step_records_28_tape_entries(monkeypatch, overrides):
+def test_step_records_22_tape_entries(monkeypatch, overrides):
     # per step: 3 image and 3 video affine layers, 2 non-local blocks, the
-    # temporal pooling, 18 loss entries and the one term sum
+    # temporal pooling, 12 loss entries (2 cross entropies and their sum, 3
+    # distance matrices, 4 mined hinges, 2 transfer losses; the detached
+    # target's distance matrix records none) and the one term sum
     counts = []
     real = training.backward
 
@@ -273,7 +320,7 @@ def test_step_records_28_tape_entries(monkeypatch, overrides):
 
     monkeypatch.setattr(training, "backward", counting)
     train(benchmark_config(epochs=1, batches_per_epoch=2, **overrides))
-    assert counts == [28, 28]
+    assert counts == [22, 22]
 
 
 def test_t16_steps_fault_in_no_fresh_pages(monkeypatch):
