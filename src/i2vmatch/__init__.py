@@ -11,14 +11,14 @@ core so gradients are verifiable by finite differences.
 
 __version__ = "0.1.0"
 
-from .autodiff import Tensor, Tape, no_grad, backward, grad_check, grad_check_params
+from .autodiff import Tensor, Tape, no_grad, backward, grad_check_params
 from .data import SyntheticConfig, generate_dataset
 from .encoders import TrunkConfig, init_encoder_params
 from .losses import LossConfig
 from .training import RunConfig, benchmark_config, evaluate_result, train
 
 __all__ = [
-    "Tensor", "Tape", "no_grad", "backward", "grad_check", "grad_check_params",
+    "Tensor", "Tape", "no_grad", "backward", "grad_check_params",
     "SyntheticConfig", "generate_dataset", "TrunkConfig", "init_encoder_params",
     "LossConfig", "RunConfig", "benchmark_config", "evaluate_result", "train",
     "__version__",

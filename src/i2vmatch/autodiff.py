@@ -15,7 +15,8 @@ Tape entries are few and fat: ``affine`` (matmul, bias, relu),
 residual), ``add_n``, ``scaled_sq_diff``, the mined triplet hinge and the
 mean cross entropy of ``x @ w`` each stand for a chain of primitives, with
 a backward rule that keeps the chain's arithmetic bit for bit; a
-``benchmark_config()`` step records 22.
+``benchmark_config()`` step records 22. ``grad_check_params`` is the one
+finite-difference check: central differences of half-width ``FD_STEP``.
 """
 
 from __future__ import annotations
@@ -374,6 +375,9 @@ def backward(loss: Tensor) -> None:
 # finite-difference verification
 # ---------------------------------------------------------------------------
 
+FD_STEP = 1e-5
+
+
 @dataclass
 class GradCheckReport:
     """Outcome of one analytic-vs-central-difference comparison."""
@@ -386,24 +390,16 @@ class GradCheckReport:
         self.passed = self.max_rel_err <= self.tol
 
 
-def grad_check(f, x0: Tensor, step: float = 1e-5, tol: float = 1e-4) -> GradCheckReport:
-    """Compare the analytic gradient of scalar-valued ``f`` against central
-    finite differences at ``x0``."""
-    x = Tensor(x0.data.copy(), requires_grad=True)
-    return grad_check_params(lambda: f(x), {"x": x}, step, tol)["x"]
-
-
 def grad_check_params(
     loss_fn,
     params: dict[str, Tensor],
-    step: float = 1e-5,
     tol: float = 1e-4,
 ) -> dict[str, GradCheckReport]:
     """Finite-difference check of ``loss_fn()`` against every named parameter.
 
     One backward pass supplies all analytic gradients; numeric gradients
-    come from perturbing each parameter coordinate in place and re-running
-    the forward pass. The parameters are restored exactly afterwards.
+    come from moving each parameter coordinate by ``±FD_STEP`` in place and
+    re-running the forward pass. The parameters are restored exactly afterwards.
     """
     with Tape():
         for p in params.values():
@@ -433,12 +429,12 @@ def grad_check_params(
         for i in range(p.data.size):
             idx = np.unravel_index(i, p.data.shape)
             orig = p.data[idx]
-            p.data[idx] = orig + step
+            p.data[idx] = orig + FD_STEP
             fp = eval_loss((name, idx))
-            p.data[idx] = orig - step
+            p.data[idx] = orig - FD_STEP
             fm = eval_loss((name, idx))
             p.data[idx] = orig
-            flat_n[i] = (fp - fm) / (2.0 * step)
+            flat_n[i] = (fp - fm) / (2.0 * FD_STEP)
         # relative where the reference gradient is large, absolute where it
         # vanishes (central differences of a zero gradient still carry noise)
         err = np.abs(analytic[name] - numeric) / np.maximum(1.0, np.abs(numeric))

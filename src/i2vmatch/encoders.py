@@ -48,8 +48,9 @@ class TrunkConfig:
     def __post_init__(self):
         if self.input_dim < 1 or self.output_dim < 1:
             raise ValueError("input_dim and output_dim must be positive")
-        if any(h < 1 for h in self.hidden_dims):
-            raise ValueError("hidden layer widths must be positive")
+        if not self.hidden_dims or any(h < 1 for h in self.hidden_dims):
+            raise ValueError("the trunk needs hidden layers of positive width, at least one "
+                             "for the blocks to follow")
         if self.use_spatial_grid and (self.grid_hw[0] < 1 or self.grid_hw[1] < 1):
             raise ValueError("grid extents must be positive")
         if not self.use_spatial_grid and tuple(self.grid_hw) != (1, 1):
@@ -134,8 +135,6 @@ def init_encoder_params(config: TrunkConfig, num_blocks: int = 2,
     """
     if not 0 <= num_blocks <= MAX_NONLOCAL_BLOCKS:
         raise ValueError(f"num_blocks must be in 0..{MAX_NONLOCAL_BLOCKS}, got {num_blocks}")
-    if not config.hidden_dims:
-        raise ValueError("the trunk needs a hidden layer for the blocks to follow")
     rng = np.random.default_rng(seed)
     trunk = [(rng.standard_normal((fan_in, fan_out)) * np.sqrt(2.0 / fan_in),
               np.zeros((1, fan_out))) for fan_in, fan_out in config.layer_dims]
@@ -181,7 +180,7 @@ def _encode(frames: np.ndarray, params: EncoderParams, op: str, layers: list[Aff
     h = Tensor(frames.reshape(frames.shape[0] * ppf, config.input_dim))
     for i, layer in enumerate(layers):
         h = affine(h, layer.w, layer.b, relu=i < len(layers) - 1)
-        if i == 0:  # init_encoder_params guarantees a hidden layer
+        if i == 0:  # TrunkConfig guarantees a hidden layer
             for blk in blocks:
                 h = nonlocal_forward(h, blk, clip_len * ppf)
     return mean_row_groups(h, ppf) if ppf > 1 else h

@@ -16,7 +16,9 @@ import hashlib
 import json
 import math
 import types
+import warnings
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from itertools import zip_longest
 from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -132,6 +134,8 @@ class RunConfig:
             raise ValueError("learning_rate must be positive and lr_decay_factor in (0, 1]")
         if self.weight_decay < 0:
             raise ValueError("weight_decay must be non-negative")
+        if self.p > (n_train := self.synth.num_train_identities):
+            raise ValueError(f"p={self.p} exceeds the {n_train} train identities")
         # each term's batch shape: every triplet anchor needs a positive and a
         # negative candidate, and a distance matrix two frames
         counts = {"p": self.p, "k": self.k, "k*t": self.k * self.t,
@@ -395,8 +399,11 @@ def train(cfg: RunConfig) -> TrainResult:
     _keep_heap()
     result = _build(cfg)
     encoder, cls = result.encoder, result.classifier
-    sampler = pk_batch_sampler(result.dataset, cfg.p, cfg.k, cfg.t, cfg.stride,
-                               np.random.default_rng(cfg.seed + 2))
+    with warnings.catch_warnings():
+        # RunConfig has checked each term's batch shape; the warning is for direct callers
+        warnings.filterwarnings("ignore", "K=1", UserWarning)
+        sampler = pk_batch_sampler(result.dataset, cfg.p, cfg.k, cfg.t, cfg.stride,
+                                   np.random.default_rng(cfg.seed + 2))
     result.log_lines.append(canonical_json({"format": LOG_FORMAT,
                                             "digest": config_digest(cfg)}))
 
@@ -440,48 +447,34 @@ def save_checkpoint(result: TrainResult, path) -> None:
 
 
 def load_checkpoint(path) -> TrainResult:
-    """Rebuild a result (minus the log) from a checkpoint file. Parameter
-    names and shapes must match what the stored config implies."""
+    """Rebuild a result (minus the log) from a checkpoint file that ``checkpoint_text``
+    reproduces line for line; else a ValueError names the first line that differs."""
     with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != CHECKPOINT_FORMAT:
+        lines = fh.read().split("\n")
+    if lines[0] != CHECKPOINT_FORMAT:
         raise ValueError(f"not a {CHECKPOINT_FORMAT} file: {path}")
     if (len(lines) < 3 or not lines[1].startswith("config ")
             or not lines[2].startswith("digest ")):
         raise ValueError("malformed checkpoint header")
     cfg = RunConfig.from_dict(json.loads(lines[1][len("config "):]))
-    stored_digest = lines[2][len("digest "):]
-    if stored_digest != config_digest(cfg):
+    if lines[2][len("digest "):] != config_digest(cfg):
         raise ValueError("config digest mismatch: checkpoint was edited or corrupted")
-    arrays: dict[str, np.ndarray] = {}
+    result = _build(cfg)
     i = 3
-    while i < len(lines) and lines[i] != "end":
-        head = lines[i].split()
-        if len(head) != 4 or head[0] != "param":
-            raise ValueError(f"malformed parameter header: {lines[i]!r}")
-        name, r, c = head[1], int(head[2]), int(head[3])
-        if name in arrays:
-            raise ValueError(f"parameter {name} appears twice in the checkpoint")
-        block = lines[i + 1:i + 1 + r]
-        arrays[name] = np.array([parse_floats(row.split(), f"parameter {name}")
-                                 for row in block])
-        if arrays[name].shape != (r, c):
-            raise ValueError(f"parameter {name} block has shape {arrays[name].shape}, "
+    for name, p in result.named_parameters().items():
+        r, c = p.data.shape
+        if lines[i:i + 1] != [f"param {name} {r} {c}"]:
+            break  # the comparison below names the first differing line
+        p.data = np.array([parse_floats(row.split(), f"parameter {name}")
+                           for row in lines[i + 1:i + 1 + r]])
+        if p.data.shape != (r, c):
+            raise ValueError(f"parameter {name} block has shape {p.data.shape}, "
                              f"expected ({r}, {c})")
         i += 1 + r
-    if lines[i:] != ["end"]:
-        raise ValueError("checkpoint is truncated: no end line" if i == len(lines)
-                         else f"checkpoint has text after its end line: {lines[i + 1]!r}")
-    result = _build(cfg)
-    named = result.named_parameters()
-    if set(named) != set(arrays):
-        missing = set(named) ^ set(arrays)
-        raise ValueError(f"checkpoint parameter names disagree with config: {missing}")
-    for name, p in named.items():
-        if arrays[name].shape != p.data.shape:
-            raise ValueError(f"parameter {name} has shape {arrays[name].shape}, "
-                             f"expected {p.data.shape}")
-        p.data = arrays[name]
+    layout = map(repr, checkpoint_text(result).split("\n"))
+    for n, (got, want) in enumerate(zip_longest(map(repr, lines), layout, fillvalue="nothing")):
+        if got != want:
+            raise ValueError(f"checkpoint line {n + 1} reads {got} where its layout puts {want}")
     return result
 
 

@@ -16,6 +16,8 @@ vectorized frame rows. The primitives that only tests use live here too:
 which build the unfused chains, ``transpose``, ``square`` and
 ``sum_all``, which build scalar test objectives, and ``softmax_rows``,
 the plain row softmax that ``group_attention`` is checked against.
+``grad_check`` is the one-tensor form of ``grad_check_params`` that the
+primitive gradient tests call.
 """
 
 import numpy as np
@@ -298,6 +300,12 @@ class Adam:
             m_hat = self.m[name] / bc1
             v_hat = self.v[name] / bc2
             p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + 1e-8)
+
+
+def grad_check(f, x0: Tensor) -> ad.GradCheckReport:
+    """Check the gradient of scalar-valued ``f`` at a copy of ``x0``."""
+    x = Tensor(x0.data.copy(), requires_grad=True)
+    return ad.grad_check_params(lambda: f(x), {"x": x})["x"]
 
 
 def bits(a) -> np.ndarray:

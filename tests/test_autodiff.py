@@ -11,7 +11,6 @@ from i2vmatch.autodiff import (
     Tensor,
     add_n,
     backward,
-    grad_check,
     grad_check_params,
     mean_row_groups,
     nonlocal_block,
@@ -19,9 +18,9 @@ from i2vmatch.autodiff import (
 )
 
 import reference_kernels as ref
-from reference_kernels import (frobenius_sq, gather, group_attention, log_softmax_rows, matmul,
-                               mean_all, relu, scale, shift, softmax_rows, square, sum_all,
-                               transpose)
+from reference_kernels import (frobenius_sq, gather, grad_check, group_attention,
+                               log_softmax_rows, matmul, mean_all, relu, scale, shift,
+                               softmax_rows, square, sum_all, transpose)
 
 
 @pytest.fixture(autouse=True)

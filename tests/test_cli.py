@@ -1,11 +1,15 @@
+import contextlib
+import io
 import json
 import warnings
 from dataclasses import fields, is_dataclass, replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from i2vmatch.cli import _load_config, build_parser, main
-from i2vmatch.training import RunConfig, benchmark_config
+from i2vmatch.training import RunConfig, benchmark_config, checkpoint_text, load_checkpoint
 
 from dataset_reader import load_dataset
 
@@ -150,7 +154,8 @@ def test_eval_rejects_empty_parameter_header(tmp_path, capsys):
     ckpt.write_text("\n".join(lines) + "\n")
     capsys.readouterr()
     assert main(["eval", "--checkpoint", str(ckpt)]) == 1
-    assert "malformed parameter header" in capsys.readouterr().err
+    assert ("checkpoint line 4 reads '' where its layout puts 'param image.0.w 6 8'"
+            in capsys.readouterr().err)
 
 
 def test_sweep_bogus_flag_value_exits_1(capsys):
@@ -285,6 +290,45 @@ def test_train_rejects_batch_shape_a_term_cannot_train(tmp_path, capsys, flag, w
     assert not run_dir.exists()
 
 
+def test_train_k1_shape_that_trains_prints_nothing_to_stderr(tmp_path, capsys):
+    # tri_i2i anchors have the other frame of their clip as a positive, and
+    # RunConfig has checked that; the sampler's K=1 warning is for direct callers
+    cfg = tiny_config_file(tmp_path, k=1, loss={"num_identities": 6, "use_v2v": False})
+    run_dir = tmp_path / "run"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["train", "--config", str(cfg), "--out-dir", str(run_dir)]) == 0
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == ""
+
+
+def _no_dataset(monkeypatch):
+    def must_not_generate(cfg):
+        raise AssertionError("a dataset was generated for a config that fails its checks")
+
+    monkeypatch.setattr("i2vmatch.training.generate_dataset", must_not_generate)
+
+
+def test_train_rejects_p_above_the_train_identities_before_generating(
+        tmp_path, capsys, monkeypatch):
+    _no_dataset(monkeypatch)
+    run_dir = tmp_path / "run"
+    assert main(["train", "--p", "41", "--out-dir", str(run_dir)]) == 1
+    assert "p=41 exceeds the 40 train identities" in assert_one_error_line(capsys)
+    assert not run_dir.exists()
+
+
+def test_train_rejects_trunk_without_hidden_layer_before_generating(
+        tmp_path, capsys, monkeypatch):
+    _no_dataset(monkeypatch)
+    cfg = tiny_config_file(tmp_path, trunk={"input_dim": 6, "hidden_dims": [],
+                                            "output_dim": 6})
+    run_dir = tmp_path / "run"
+    assert main(["train", "--config", str(cfg), "--out-dir", str(run_dir)]) == 1
+    assert "at least one for the blocks to follow" in assert_one_error_line(capsys)
+    assert not run_dir.exists()
+
+
 @pytest.mark.parametrize("section,key", [(None, "learning_rate"), (None, "lr_decay_factor"),
                                          (None, "weight_decay"), ("loss", "margin")])
 def test_synth_rejects_non_finite_config_value(tmp_path, capsys, section, key):
@@ -358,20 +402,115 @@ def _repeat_image_bias_block(lines):
     return lines[:-1] + lines[start:start + 1 + rows] + ["end"]
 
 
-@pytest.mark.parametrize("edit, words", [
-    (_repeat_image_bias_block, ("image.0.b", "twice")),
-    (lambda lines: lines[:-1], ("no end line",)),
-    (lambda lines: lines + ["param image.0.b 1 8"], ("after its end line",)),
+# each edit with the line it reports, counted from the "end" line (0 is that
+# line, 1 the next), the text read there and the text the layout puts
+# there; the text after a file's last newline counts as an empty line
+@pytest.mark.parametrize("edit, past_end, got, want", [
+    (_repeat_image_bias_block, 0, "'param image.0.b 1 8'", "'end'"),
+    (lambda lines: lines[:-1], 0, "''", "'end'"),
+    (lambda lines: lines + ["param image.0.b 1 8"], 1, "'param image.0.b 1 8'", "''"),
 ], ids=["duplicate-parameter", "no-end", "text-after-end"])
 def test_eval_rejects_spliced_or_truncated_checkpoint(tmp_path, capsys, checkpoint_lines,
-                                                      edit, words):
+                                                      edit, past_end, got, want):
     ckpt = tmp_path / "checkpoint.txt"
     ckpt.write_text("\n".join(edit(checkpoint_lines)) + "\n")
     capsys.readouterr()
     assert main(["eval", "--checkpoint", str(ckpt)]) == 1
-    err = assert_one_error_line(capsys)
-    for w in words:
-        assert w in err
+    line = checkpoint_lines.index("end") + 1 + past_end
+    assert (f"checkpoint line {line} reads {got} where its layout puts {want}"
+            in assert_one_error_line(capsys))
+
+
+def _swap_first_two_blocks(lines):
+    """image.0.w and image.0.b in each other's place: the same names and
+    shapes, in an order the writer never writes."""
+    bias = lines.index("param image.0.b 1 8")
+    return lines[:3] + lines[bias:bias + 2] + lines[3:bias] + lines[bias + 2:]
+
+
+def _respell_first_weight(lines):
+    """The first value of image.0.w written with 17 significant digits:
+    the same float, spelled as ``format_floats`` never spells it."""
+    values = lines[4].split()
+    values[0] = f"{float(values[0]):.16e}"
+    return lines[:4] + [" ".join(values)] + lines[5:]
+
+
+def _respace_config(lines):
+    """The config line as ``json.dumps`` spaces it by default: the same
+    config and digest, not in canonical spelling."""
+    config = json.dumps(json.loads(lines[1][len("config "):]), sort_keys=True)
+    return [lines[0], "config " + config, *lines[2:]]
+
+
+@pytest.mark.parametrize("edit, line", [(_swap_first_two_blocks, 4),
+                                        (_respell_first_weight, 5),
+                                        (_respace_config, 2)],
+                         ids=["reordered-blocks", "respelled-float", "respaced-config"])
+def test_eval_rejects_checkpoint_the_writer_would_not_write(tmp_path, capsys,
+                                                            checkpoint_lines, edit, line):
+    # each holds the same parameters and config, and re-saves to other bytes
+    edited = edit(checkpoint_lines)
+    ckpt = tmp_path / "checkpoint.txt"
+    ckpt.write_text("\n".join(edited) + "\n")
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(ckpt)]) == 1
+    got, want = edited[line - 1], checkpoint_lines[line - 1]
+    assert (f"checkpoint line {line} reads {got!r} where its layout puts {want!r}"
+            in assert_one_error_line(capsys))
+
+
+@st.composite
+def checkpoint_edits(draw, lines):
+    """A saved checkpoint's lines after one edit: a truncation, a cut, an
+    appended text, or a line deleted, repeated, swapped or re-tokened."""
+    text = "\n".join(lines) + "\n"
+    kind = draw(st.sampled_from(["truncate", "cut", "append", "delete", "repeat", "swap",
+                                 "token"]))
+    if kind == "truncate":
+        return text[:draw(st.integers(0, len(text) - 1))]
+    if kind == "cut":
+        start = draw(st.integers(0, len(text) - 1))
+        return text[:start] + text[start + draw(st.integers(1, 40)):]
+    if kind == "append":
+        return text + draw(st.sampled_from(["end\n", "x", "\n", "param image.0.b 1 8\n"]))
+    lines = list(lines)
+    i = draw(st.integers(0, len(lines) - 1))
+    if kind == "delete":
+        del lines[i]
+    elif kind == "repeat":
+        lines.insert(i, lines[i])
+    elif kind == "swap":
+        j = draw(st.integers(0, len(lines) - 1))
+        lines[i], lines[j] = lines[j], lines[i]
+    else:
+        tokens = lines[i].split(" ")
+        other = draw(st.sampled_from(lines[3:])).split(" ")
+        tokens[draw(st.integers(0, len(tokens) - 1))] = draw(st.sampled_from(
+            other + ["nan", "inf", "1e400", "0x1p-3", "1_0", "", "param", "end", "7", "-0.0"]))
+        lines[i] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.fixture(scope="module")
+def edit_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("edits")
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_eval_loads_an_edited_checkpoint_only_as_the_writer_writes_it(
+        checkpoint_lines, edit_dir, data):
+    ckpt = edit_dir / "checkpoint.txt"
+    ckpt.write_text(data.draw(checkpoint_edits(checkpoint_lines)))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(["eval", "--checkpoint", str(ckpt)])
+    if code == 0:
+        assert checkpoint_text(load_checkpoint(ckpt)) == ckpt.read_text()
+    else:
+        assert code == 1 and "Traceback" not in err.getvalue()
+        assert len(err.getvalue().splitlines()) == 1
 
 
 @pytest.mark.parametrize("axis,values", [("nonlocal_blocks", "1,9"), ("T", " , ")])
