@@ -25,6 +25,7 @@ from .training import (
     evaluate_result,
     gradcheck_suite,
     load_checkpoint,
+    parse_json,
     report_document,
     save_checkpoint,
     sweep,
@@ -42,8 +43,7 @@ LOSS_FLAG_FIELDS = ("margin", "bp_to_video")
 
 def _load_config(args) -> RunConfig:
     if args.config:
-        with open(args.config) as fh:
-            cfg = RunConfig.from_dict(json.load(fh))
+        cfg = RunConfig.from_dict(parse_json(Path(args.config).read_text()))
     else:
         cfg = benchmark_config()
     loss = {name: getattr(args, name) for name in LOSS_FLAG_FIELDS
@@ -141,8 +141,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     result = load_checkpoint(args.checkpoint)
     if args.config:
-        with open(args.config) as fh:
-            supplied = RunConfig.from_dict(json.load(fh))
+        supplied = RunConfig.from_dict(parse_json(Path(args.config).read_text()))
         if config_digest(supplied) != config_digest(result.config):
             raise ValueError("config digest mismatch between checkpoint and supplied config")
     report = evaluate_result(result, (args.protocol,))[args.protocol]

@@ -148,6 +148,9 @@ def generate_dataset(cfg: SyntheticConfig) -> SyntheticDataset:
     low-dimensional linear manifold, so coordinates are correlated and an
     occluded block is in principle recoverable from the visible ones -- the
     structure an encoder must pick up to be robust.
+
+    The draws stay per frame and in order; the arithmetic is done per video,
+    each element through the same float operations as a per-frame sum.
     """
     rng = np.random.default_rng(np.random.PCG64(cfg.seed))
     dim = cfg.input_dim
@@ -160,6 +163,7 @@ def generate_dataset(cfg: SyntheticConfig) -> SyntheticDataset:
         prototypes = cfg.prototype_scale * (latents @ mixing)
     videos: list[VideoRecord] = []
     lo, hi = cfg.frames_per_video
+    width = int(round(cfg.occlusion_mask_fraction * dim))
     for ident in range(cfg.num_identities):
         for cam in range(cfg.cameras_per_identity):
             # identity plus camera offset, summed once per video, not per frame
@@ -167,19 +171,21 @@ def generate_dataset(cfg: SyntheticConfig) -> SyntheticDataset:
             length = int(rng.integers(lo, hi + 1))
             drift_a = cfg.drift_scale * rng.standard_normal(dim)
             drift_b = cfg.drift_scale * rng.standard_normal(dim)
-            frames = np.empty((length, dim))
+            noise = np.empty((length, dim))
+            cuts = []
             for t in range(length):
-                alpha = t / (length - 1) if length > 1 else 0.0
-                frame = (view + (1.0 - alpha) * drift_a + alpha * drift_b
-                         + cfg.frame_noise_scale * rng.standard_normal(dim))
+                rng.standard_normal(out=noise[t])
                 # frame 0 is the enrollment view serving as the query image
                 # and stays occlusion-free (it still carries noise)
-                if t > 0 and cfg.occlusion_prob > 0 and rng.random() < cfg.occlusion_prob:
-                    width = int(round(cfg.occlusion_mask_fraction * dim))
-                    if width > 0:
-                        start = int(rng.integers(0, dim - width + 1))
-                        frame[start:start + width] = 0.0
-                frames[t] = frame
+                if (t > 0 and cfg.occlusion_prob > 0 and rng.random() < cfg.occlusion_prob
+                        and width > 0):
+                    cuts.append((t, int(rng.integers(0, dim - width + 1))))
+            alpha = (np.arange(length) / max(length - 1, 1))[:, None]
+            # in place over the noise, made before any temporary, so the heap does not grow
+            noise *= cfg.frame_noise_scale
+            frames = np.add(view + (1.0 - alpha) * drift_a + alpha * drift_b, noise, out=noise)
+            for t, start in cuts:
+                frames[t, start:start + width] = 0.0
             videos.append(VideoRecord(identity=ident, camera=cam, frames=frames))
     return SyntheticDataset(config=cfg, videos=videos)
 
@@ -251,9 +257,12 @@ def format_floats(values: np.ndarray) -> str:
 
 
 def parse_floats(tokens: list[str], what: str) -> np.ndarray:
-    """The inverse of :func:`format_floats`; a non-finite value raises
-    ValueError naming ``what``."""
-    values = np.array([float(x) for x in tokens])
+    """The inverse of :func:`format_floats`; a token that is no number or
+    a non-finite value raises ValueError naming ``what``."""
+    try:
+        values = np.array([float(x) for x in tokens])
+    except ValueError as exc:  # float() names the token
+        raise ValueError(f"{what}: {exc}") from None
     if not np.all(np.isfinite(values)):
         raise ValueError(f"{what} holds a non-finite value")
     return values

@@ -211,6 +211,14 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+def parse_json(text: str):
+    """``json.loads``, with nesting too deep for its parser a ValueError too."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON text is nested too deeply to read") from None
+
+
 def config_digest(cfg: RunConfig) -> str:
     return hashlib.sha256(canonical_json(cfg.to_dict()).encode()).hexdigest()[:16]
 
@@ -456,7 +464,7 @@ def load_checkpoint(path) -> TrainResult:
     if (len(lines) < 3 or not lines[1].startswith("config ")
             or not lines[2].startswith("digest ")):
         raise ValueError("malformed checkpoint header")
-    cfg = RunConfig.from_dict(json.loads(lines[1][len("config "):]))
+    cfg = RunConfig.from_dict(parse_json(lines[1][len("config "):]))
     if lines[2][len("digest "):] != config_digest(cfg):
         raise ValueError("config digest mismatch: checkpoint was edited or corrupted")
     result = _build(cfg)
@@ -465,11 +473,12 @@ def load_checkpoint(path) -> TrainResult:
         r, c = p.data.shape
         if lines[i:i + 1] != [f"param {name} {r} {c}"]:
             break  # the comparison below names the first differing line
-        p.data = np.array([parse_floats(row.split(), f"parameter {name}")
-                           for row in lines[i + 1:i + 1 + r]])
-        if p.data.shape != (r, c):
-            raise ValueError(f"parameter {name} block has shape {p.data.shape}, "
-                             f"expected ({r}, {c})")
+        rows = [lines[n].split() if n < len(lines) else [] for n in range(i + 1, i + 1 + r)]
+        for n, row in enumerate(rows, start=i + 2):
+            if len(row) != c:
+                raise ValueError(f"checkpoint line {n} holds {len(row)} values where "
+                                 f"each row of parameter {name} holds {c}")
+        p.data = np.array([parse_floats(row, f"parameter {name}") for row in rows])
         i += 1 + r
     layout = map(repr, checkpoint_text(result).split("\n"))
     for n, (got, want) in enumerate(zip_longest(map(repr, lines), layout, fillvalue="nothing")):

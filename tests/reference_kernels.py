@@ -10,8 +10,10 @@ followed by the log_softmax_rows, gather, mean_all, scale(-1) chain. The
 equivalence tests require the package's kernels to match them bit for
 bit, value and gradient. ``split_into_clips`` is the per-video clip split
 that gallery extraction once called, kept as the oracle for its
-vectorized frame rows. The primitives that only tests use live here too:
-``matmul``, ``add``, ``sub``, ``relu``, ``shift``, ``scale``,
+vectorized frame rows, and ``generate_dataset`` is the per-frame loop
+the synthetic generator ran before its arithmetic moved to one pass per
+video, kept as its byte oracle. The primitives that only tests use live
+here too: ``matmul``, ``add``, ``sub``, ``relu``, ``shift``, ``scale``,
 ``frobenius_sq``, ``mean_all``, ``gather`` and ``log_softmax_rows``,
 which build the unfused chains, ``transpose``, ``square`` and
 ``sum_all``, which build scalar test objectives, and ``softmax_rows``,
@@ -24,6 +26,7 @@ import numpy as np
 
 from i2vmatch import autodiff as ad
 from i2vmatch.autodiff import ShapeError, Tensor
+from i2vmatch.data import SyntheticConfig, SyntheticDataset, VideoRecord
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -275,6 +278,44 @@ def split_into_clips(frames: np.ndarray, clip_len: int) -> list[np.ndarray]:
     last = clips[-1]  # the one chunk that may be short
     clips[-1] = np.tile(last, (-(-clip_len // len(last)), 1))[:clip_len]
     return clips
+
+
+@np.errstate(over="ignore", invalid="ignore")  # VideoRecord rejects what overflows
+def generate_dataset(cfg: SyntheticConfig) -> SyntheticDataset:
+    """The synthetic generator with one noise draw and one frame sum per frame."""
+    rng = np.random.default_rng(np.random.PCG64(cfg.seed))
+    dim = cfg.input_dim
+    if cfg.prototype_rank is None:
+        prototypes = cfg.prototype_scale * rng.standard_normal((cfg.num_identities, dim))
+    else:
+        r = cfg.prototype_rank
+        mixing = rng.standard_normal((r, dim)) / np.sqrt(r)
+        latents = rng.standard_normal((cfg.num_identities, r))
+        prototypes = cfg.prototype_scale * (latents @ mixing)
+    videos: list[VideoRecord] = []
+    lo, hi = cfg.frames_per_video
+    for ident in range(cfg.num_identities):
+        for cam in range(cfg.cameras_per_identity):
+            # identity plus camera offset, summed once per video, not per frame
+            view = prototypes[ident] + cfg.camera_offset_scale * rng.standard_normal(dim)
+            length = int(rng.integers(lo, hi + 1))
+            drift_a = cfg.drift_scale * rng.standard_normal(dim)
+            drift_b = cfg.drift_scale * rng.standard_normal(dim)
+            frames = np.empty((length, dim))
+            for t in range(length):
+                alpha = t / (length - 1) if length > 1 else 0.0
+                frame = (view + (1.0 - alpha) * drift_a + alpha * drift_b
+                         + cfg.frame_noise_scale * rng.standard_normal(dim))
+                # frame 0 is the enrollment view serving as the query image
+                # and stays occlusion-free (it still carries noise)
+                if t > 0 and cfg.occlusion_prob > 0 and rng.random() < cfg.occlusion_prob:
+                    width = int(round(cfg.occlusion_mask_fraction * dim))
+                    if width > 0:
+                        start = int(rng.integers(0, dim - width + 1))
+                        frame[start:start + width] = 0.0
+                frames[t] = frame
+            videos.append(VideoRecord(identity=ident, camera=cam, frames=frames))
+    return SyntheticDataset(config=cfg, videos=videos)
 
 
 class Adam:

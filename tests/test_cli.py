@@ -513,6 +513,86 @@ def test_eval_loads_an_edited_checkpoint_only_as_the_writer_writes_it(
         assert len(err.getvalue().splitlines()) == 1
 
 
+DEEP_JSON = "[" * 100_000  # deeper than the json parser can recurse
+
+
+def test_synth_rejects_config_nested_too_deep(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text(DEEP_JSON)
+    assert main(["synth", "--config", str(path), "--out", str(tmp_path / "d.txt")]) == 1
+    assert "nested too deeply" in assert_one_error_line(capsys)
+
+
+def test_eval_rejects_checkpoint_config_nested_too_deep(tmp_path, capsys):
+    ckpt = tmp_path / "checkpoint.txt"
+    ckpt.write_text(f"i2vmatch-checkpoint/1\nconfig {DEEP_JSON}\ndigest 0\nend\n")
+    assert main(["eval", "--checkpoint", str(ckpt)]) == 1
+    assert "nested too deeply" in assert_one_error_line(capsys)
+
+
+def _edit_first_weight_row(lines, edit):
+    row = lines.index("param image.0.w 6 8") + 1
+    return lines[:row] + [" ".join(edit(lines[row].split()))] + lines[row + 1:]
+
+
+@pytest.mark.parametrize("edit, words", [
+    (lambda values: values[:-1],
+     "checkpoint line 5 holds 7 values where each row of parameter image.0.w holds 8"),
+    (lambda values: ["x"] + values[1:],
+     "parameter image.0.w: could not convert string to float: 'x'"),
+], ids=["short-row", "non-number"])
+def test_eval_names_the_line_parameter_and_token_of_a_bad_row(tmp_path, capsys,
+                                                              checkpoint_lines, edit, words):
+    ckpt = tmp_path / "checkpoint.txt"
+    ckpt.write_text("\n".join(_edit_first_weight_row(checkpoint_lines, edit)) + "\n")
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(ckpt)]) == 1
+    assert words in assert_one_error_line(capsys)
+
+
+@st.composite
+def config_edits(draw, cfg):
+    """The JSON text of ``cfg`` after one edit: a key dropped, a value
+    swapped for one of another type or nested one level, the text truncated,
+    or a section nested deeper than the parser can follow."""
+    kind = draw(st.sampled_from(["drop", "swap", "nest", "truncate", "deep"]))
+    text = json.dumps(cfg)
+    if kind == "truncate":
+        return text[:draw(st.integers(0, len(text) - 1))]
+    if kind == "deep":
+        return text.replace('"synth": ', '"synth": ' + DEEP_JSON, 1)
+    cfg = json.loads(text)
+    paths = [(key,) for key in cfg] + [(section, key) for section in ("synth", "trunk", "loss")
+                                       for key in cfg[section]]
+    *parents, key = draw(st.sampled_from(paths))
+    owner = cfg[parents[0]] if parents else cfg
+    if kind == "drop":
+        del owner[key]
+    elif kind == "swap":
+        owner[key] = draw(st.sampled_from([
+            v for v in ("x", [1, 2], {"a": 1}, None, True, 1.5, 3, -1)
+            if type(v) is not type(owner[key])]))
+    else:
+        owner[key] = draw(st.sampled_from([[owner[key]], {"v": owner[key]}]))
+    return json.dumps(cfg)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_synth_takes_an_edited_config_or_rejects_it_in_one_line(edit_dir, data):
+    tiny = json.loads(tiny_config_file(edit_dir).read_text())
+    path = edit_dir / "edited.json"
+    path.write_text(data.draw(config_edits(tiny)))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(["synth", "--config", str(path), "--out", str(edit_dir / "d.txt")])
+    if code == 0:
+        assert err.getvalue() == ""
+    else:
+        assert code == 1 and "Traceback" not in err.getvalue()
+        assert len(err.getvalue().splitlines()) == 1
+
+
 @pytest.mark.parametrize("axis,values", [("nonlocal_blocks", "1,9"), ("T", " , ")])
 def test_sweep_rejects_bad_values_before_any_run(monkeypatch, capsys, axis, values):
     def no_train(cfg):

@@ -16,6 +16,7 @@ from i2vmatch.data import (
 from i2vmatch.encoders import TrunkConfig, encode_image, init_encoder_params
 from i2vmatch.training import _batch_features
 
+import reference_kernels as ref
 from dataset_reader import load_dataset
 
 
@@ -55,6 +56,65 @@ def test_different_seed_differs():
     b = generate_dataset(quiet_cfg(seed=2))
     assert any(not np.array_equal(va.frames, vb.frames)
                for va, vb in zip(a.videos, b.videos))
+
+
+def assert_same_bytes_as_per_frame_loop(cfg):
+    got, want = generate_dataset(cfg), ref.generate_dataset(cfg)
+    assert len(got.videos) == len(want.videos)
+    for g, w in zip(got.videos, want.videos):
+        assert (g.identity, g.camera) == (w.identity, w.camera)
+        assert g.frames.tobytes() == w.frames.tobytes()
+
+
+# the edges of each branch of the frame loop: a one-frame video (no drift
+# interpolation), no coin or every coin occluding, empty and full cuts,
+# prototypes of full and low rank, and every scale at zero
+@pytest.mark.parametrize("over", [
+    dict(frames_per_video=(1, 1)),
+    dict(frames_per_video=(1, 3), occlusion_prob=1.0),
+    dict(occlusion_prob=0.0),
+    dict(occlusion_prob=1.0),
+    dict(occlusion_mask_fraction=0.0),
+    dict(occlusion_mask_fraction=1.0, occlusion_prob=1.0),
+    dict(prototype_rank=None),
+    dict(prototype_rank=2),
+    dict(prototype_scale=0.0, camera_offset_scale=0.0, drift_scale=0.0,
+         frame_noise_scale=0.0),
+], ids=["one-frame", "short-all-occluded", "no-occlusion", "all-occluded", "empty-cut",
+        "full-cut", "full-rank", "rank-2", "zero-scales"])
+def test_generator_bytes_match_the_per_frame_loop(over):
+    assert_same_bytes_as_per_frame_loop(quiet_cfg(**over))
+
+
+@st.composite
+def synthetic_configs(draw):
+    lo = draw(st.integers(1, 6))
+    dim = draw(st.integers(1, 8))
+    scale = st.sampled_from([0.0, 0.3, 1.0, 7.5])
+    unit = st.sampled_from([0.0, 0.25, 0.5, 1.0])
+    return SyntheticConfig(
+        num_identities=draw(st.integers(2, 4)), cameras_per_identity=draw(st.integers(2, 3)),
+        frames_per_video=(lo, lo + draw(st.integers(0, 5))), input_dim=dim,
+        prototype_scale=draw(scale), prototype_rank=draw(st.none() | st.integers(1, dim)),
+        camera_offset_scale=draw(scale), drift_scale=draw(scale),
+        frame_noise_scale=draw(scale), occlusion_prob=draw(unit),
+        occlusion_mask_fraction=draw(unit), seed=draw(st.integers(0, 2**32)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(synthetic_configs())
+def test_generator_bytes_match_the_per_frame_loop_on_drawn_configs(cfg):
+    assert_same_bytes_as_per_frame_loop(cfg)
+
+
+def test_generator_overflow_is_reported_as_by_the_per_frame_loop():
+    cfg = quiet_cfg(drift_scale=1e308)
+    with pytest.raises(ValueError) as got:
+        generate_dataset(cfg)
+    with pytest.raises(ValueError) as want:
+        ref.generate_dataset(cfg)
+    assert str(got.value) == str(want.value)
+    assert "holds a non-finite frame value" in str(got.value)
 
 
 def test_within_identity_distances_below_between():
