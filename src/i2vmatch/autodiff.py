@@ -16,7 +16,8 @@ residual), ``add_n``, ``scaled_sq_diff``, the mined triplet hinge and the
 mean cross entropy of ``x @ w`` each stand for a chain of primitives, with
 a backward rule that keeps the chain's arithmetic bit for bit; a
 ``benchmark_config()`` step records 22. ``grad_check_params`` is the one
-finite-difference check: central differences of half-width ``FD_STEP``.
+finite-difference check: central differences of half-width ``FD_STEP``,
+one sweep of the coordinates for all the outputs of a dict-valued function.
 """
 
 from __future__ import annotations
@@ -390,53 +391,53 @@ class GradCheckReport:
         self.passed = self.max_rel_err <= self.tol
 
 
-def grad_check_params(
-    loss_fn,
-    params: dict[str, Tensor],
-    tol: float = 1e-4,
-) -> dict[str, GradCheckReport]:
+def grad_check_params(loss_fn, params: dict[str, Tensor], tol: float = 1e-4) -> dict:
     """Finite-difference check of ``loss_fn()`` against every named parameter.
 
-    One backward pass supplies all analytic gradients; numeric gradients
-    come from moving each parameter coordinate by ``±FD_STEP`` in place and
-    re-running the forward pass. The parameters are restored exactly afterwards.
+    ``loss_fn`` returns a scalar tensor or a dict of named scalar tensors.
+    One forward pass on one tape, then one backward per output with grads
+    zeroed in between, gives the analytic gradients. Each parameter
+    coordinate is then moved by ``±FD_STEP`` in place and ``loss_fn``
+    evaluated twice, every output read off each evaluation; the parameters
+    are restored exactly afterwards. A scalar gives ``{param: report}``, a
+    dict ``{output: {param: report}}``.
     """
+    def evaluate(idx=None) -> dict:
+        values = loss_fn()
+        outs = values if isinstance(values, dict) else {None: values}
+        if not all(np.isfinite(v.item()) for v in outs.values()):
+            raise NonFiniteError("non-finite loss at the expansion point" if idx is None else
+                                 f"non-finite evaluation while perturbing coordinate {idx}")
+        return outs
+
     with Tape():
-        for p in params.values():
-            p.zero_grad()
-        loss = loss_fn()
-        if not np.isfinite(loss.item()):
-            raise NonFiniteError("non-finite loss at the expansion point")
-        backward(loss)
-        analytic = {
-            name: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data))
-            for name, p in params.items()
-        }
+        analytic = {}
+        for key, out in evaluate().items():
+            for p in params.values():
+                p.zero_grad()
+            backward(out)
+            analytic[key] = {name: p.grad.copy() if p.grad is not None
+                             else np.zeros_like(p.data) for name, p in params.items()}
         for p in params.values():
             p.zero_grad()
 
-    def eval_loss(idx) -> float:
-        with no_grad():
-            v = loss_fn().item()
-        if not np.isfinite(v):
-            raise NonFiniteError(f"non-finite evaluation while perturbing coordinate {idx}")
-        return v
-
-    reports = {}
-    for name, p in params.items():
-        numeric = np.zeros_like(p.data)
-        flat_n = numeric.reshape(-1)
-        for i in range(p.data.size):
-            idx = np.unravel_index(i, p.data.shape)
-            orig = p.data[idx]
-            p.data[idx] = orig + FD_STEP
-            fp = eval_loss((name, idx))
-            p.data[idx] = orig - FD_STEP
-            fm = eval_loss((name, idx))
-            p.data[idx] = orig
-            flat_n[i] = (fp - fm) / (2.0 * FD_STEP)
-        # relative where the reference gradient is large, absolute where it
-        # vanishes (central differences of a zero gradient still carry noise)
-        err = np.abs(analytic[name] - numeric) / np.maximum(1.0, np.abs(numeric))
-        reports[name] = GradCheckReport(max_rel_err=float(err.max(initial=0.0)), tol=tol)
-    return reports
+    reports = {key: {} for key in analytic}
+    with no_grad():
+        for name, p in params.items():
+            numeric = np.zeros((len(reports), p.data.size))  # one row per output
+            for i in range(p.data.size):
+                idx = np.unravel_index(i, p.data.shape)
+                orig = p.data[idx]
+                p.data[idx] = orig + FD_STEP
+                fp = evaluate((name, idx))
+                p.data[idx] = orig - FD_STEP
+                fm = evaluate((name, idx))
+                p.data[idx] = orig
+                numeric[:, i] = [(fp[k].item() - fm[k].item()) / (2.0 * FD_STEP) for k in reports]
+            for key, n in zip(reports, numeric.reshape(len(reports), *p.data.shape)):
+                # relative where the reference gradient is large, absolute where it
+                # vanishes (central differences of a zero gradient still carry noise)
+                err = np.abs(analytic[key][name] - n) / np.maximum(1.0, np.abs(n))
+                reports[key][name] = GradCheckReport(max_rel_err=float(err.max(initial=0.0)),
+                                                     tol=tol)
+    return reports[None] if None in reports else reports

@@ -56,6 +56,8 @@ class SyntheticConfig:
             raise ValueError(f"bad frames_per_video range {self.frames_per_video}")
         if self.input_dim < 1:
             raise ValueError("input_dim must be positive")
+        if self.seed < 0:
+            raise ValueError(f"synth seed must be non-negative, got {self.seed}")
         for name in ("prototype_scale", "camera_offset_scale", "drift_scale",
                      "frame_noise_scale"):
             if not 0 <= getattr(self, name) < np.inf:

@@ -19,7 +19,10 @@ which build the unfused chains, ``transpose``, ``square`` and
 ``sum_all``, which build scalar test objectives, and ``softmax_rows``,
 the plain row softmax that ``group_attention`` is checked against.
 ``grad_check`` is the one-tensor form of ``grad_check_params`` that the
-primitive gradient tests call.
+primitive gradient tests call, and ``gradcheck_suite`` is the gradient
+suite as it ran before one sweep checked every output: one objective and
+one ``grad_check_params`` call per check, over that check's own
+parameters, kept as the oracle of the suite's outcomes.
 """
 
 import numpy as np
@@ -27,6 +30,10 @@ import numpy as np
 from i2vmatch import autodiff as ad
 from i2vmatch.autodiff import ShapeError, Tensor
 from i2vmatch.data import SyntheticConfig, SyntheticDataset, VideoRecord
+from i2vmatch.encoders import encode_clip_batch, encode_image, encode_video, nonlocal_forward
+from i2vmatch.losses import BatchFeatures, loss_terms, sum_terms
+from i2vmatch.training import (ENCODER_CHECKS, EXTENDED_LOSS_CHECKS, LOSS_CHECKS,
+                               LOSS_SET_PRESETS, CheckOutcome, _micro_setup, _sq_norm)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -353,3 +360,63 @@ def bits(a) -> np.ndarray:
     """The float64 bit patterns of ``a``: equal bits mean equal values,
     signed zeros and NaN payloads included."""
     return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
+
+
+def _loss_fn_for(check: str, encoder, cls, clips, labels, cfg):
+    """The training objective restricted to the terms a check names: one
+    term, the four triplets (tri_integrated) or all of them (total)."""
+    terms = {"tri_integrated": LOSS_SET_PRESETS["integrated-tri"],
+             "total": LOSS_SET_PRESETS["full"]}.get(check, (check,))
+    check_cfg = cfg.with_terms(terms)
+
+    def f():
+        i, fr, v = encode_clip_batch(clips, encoder)
+        return sum_terms(loss_terms(BatchFeatures(i, fr, v, labels), cls, check_cfg))
+    return f
+
+
+def _encoder_check(check: str, encoder, clips):
+    if check == "nonlocal_block":
+        blk = encoder.blocks[0]
+        h = np.random.default_rng(7).standard_normal((4, blk.channels))
+        weights = {k: p for k, p in encoder.named_parameters().items() if k.startswith("block0.")}
+        return (lambda: _sq_norm(nonlocal_forward(Tensor(h), blk))), weights
+    if check == "image_encoder":
+        frames = clips.reshape(-1, clips.shape[2])
+        return (lambda: _sq_norm(encode_image(frames, encoder))), \
+            encoder.image_parameters()
+    if check == "video_encoder":
+        def f():
+            ff, vf = encode_video(clips, encoder)
+            return ad.add_n([_sq_norm(ff), _sq_norm(vf)])
+
+        return f, encoder.video_parameters()
+    raise ValueError(f"unknown check {check!r}")
+
+
+def gradcheck_suite(scope: str = "all", seeds=(0,), tol: float = 1e-4,
+                    extended: bool = False) -> list[CheckOutcome]:
+    """The per-check gradient suite: each check rebuilds its objective and
+    runs its own finite-difference sweep."""
+    loss_names = LOSS_CHECKS + (EXTENDED_LOSS_CHECKS if extended else ())
+    names: tuple[str, ...] = ()
+    if scope in ("all", "losses"):
+        names += loss_names
+    if scope in ("all", "encoders"):
+        names += ENCODER_CHECKS
+    outcomes = []
+    for seed in seeds:
+        encoder, cls, clips, labels, cfg = _micro_setup(seed)
+        everything = {**encoder.named_parameters(), **cls.named_parameters()}
+        for name in names:
+            if name in ENCODER_CHECKS:
+                fn, params = _encoder_check(name, encoder, clips)
+            else:
+                fn, params = _loss_fn_for(name, encoder, cls, clips, labels, cfg), everything
+            reports = ad.grad_check_params(fn, params, tol=tol)
+            worst_param, worst = max(reports.items(), key=lambda kv: kv[1].max_rel_err)
+            outcomes.append(CheckOutcome(name=name, seed=seed,
+                                         max_rel_err=worst.max_rel_err,
+                                         passed=all(r.passed for r in reports.values()),
+                                         worst_param=worst_param))
+    return outcomes

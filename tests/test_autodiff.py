@@ -433,6 +433,24 @@ def test_gradcheck_detects_planted_factor_two():
     assert rep.max_rel_err == pytest.approx(1.0, rel=1e-3)
 
 
+def test_grad_check_params_reads_each_output_as_its_scalar_form():
+    rng = np.random.default_rng(3)
+    x, w, u = (Tensor(rng.standard_normal(shape), requires_grad=True)
+               for shape in ((3, 4), (4, 2), (2, 2)))
+
+    def outputs():
+        y = matmul(x, w)
+        return {"sq": sum_all(square(y)), "lsm": mean_all(log_softmax_rows(y)),
+                "u": sum_all(square(u))}
+
+    params = {"x": x, "w": w, "u": u}
+    swept = grad_check_params(outputs, params)
+    assert list(swept) == ["sq", "lsm", "u"]
+    for key in swept:
+        assert swept[key] == grad_check_params(lambda: outputs()[key], params)
+    assert swept["sq"]["u"].max_rel_err == 0.0  # outside the output's ancestry
+
+
 def test_gradcheck_reports_nonfinite_coordinate():
     def f(x):
         # log goes NaN once the perturbed coordinate turns negative

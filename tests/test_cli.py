@@ -612,6 +612,47 @@ def test_gradcheck_rejects_bad_tol(capsys, tol):
     assert "tol" in err and len(err.strip().splitlines()) == 1
 
 
+def test_synth_rejects_negative_synth_seed(tmp_path, capsys):
+    cfg = json.loads(tiny_config_file(tmp_path).read_text())
+    cfg["synth"]["seed"] = -1
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["synth", "--config", str(path), "--out", str(tmp_path / "d.txt")]) == 1
+    assert "synth seed must be non-negative, got -1" in assert_one_error_line(capsys)
+
+
+def test_train_rejects_negative_seed(tmp_path, capsys):
+    run_dir = tmp_path / "run"
+    assert main(["train", "--config", str(tiny_config_file(tmp_path)), "--seed", "-1",
+                 "--out-dir", str(run_dir)]) == 1
+    assert "seed must be non-negative, got -1" in assert_one_error_line(capsys)
+    assert not run_dir.exists()
+
+
+def test_gradcheck_rejects_negative_seed(capsys):
+    assert main(["gradcheck", "--seeds", "0", "-1"]) == 1
+    assert "seeds must be non-negative, got [0, -1]" in assert_one_error_line(capsys)
+
+
+def test_synth_reports_a_frame_count_no_memory_holds(tmp_path, capsys):
+    # 10**15 frames of 6 values need 48 PB: the allocation fails at once
+    cfg = json.loads(tiny_config_file(tmp_path).read_text())
+    cfg["synth"]["frames_per_video"] = [10**15, 10**15]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["synth", "--config", str(path), "--out", str(tmp_path / "d.txt")]) == 1
+    assert "Unable to allocate" in assert_one_error_line(capsys)
+
+
+def test_wrong_type_message_names_the_type_not_the_value(tmp_path, capsys):
+    text = tiny_config_file(tmp_path, seed="NESTED").read_text()
+    path = tmp_path / "cfg.json"
+    path.write_text(text.replace('"NESTED"', "[" * 400 + "]" * 400))
+    assert main(["synth", "--config", str(path), "--out", str(tmp_path / "d.txt")]) == 1
+    err = assert_one_error_line(capsys)
+    assert "'seed'" in err and "wrong type, list" in err and len(err) < 200
+
+
 def non_finite_drift_config(tmp_path, drift):
     path = tmp_path / "c.json"
     path.write_text(json.dumps({"synth": {"drift_scale": drift, "num_identities": 10},

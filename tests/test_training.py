@@ -509,6 +509,46 @@ def test_gradcheck_suite_extended_checks_every_term_and_encoder():
     assert all(oc.passed for oc in outcomes), [oc for oc in outcomes if not oc.passed]
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2, 7])
+def test_gradcheck_suite_matches_the_per_check_suite(seed):
+    """One sweep over every output gives the outcomes of one sweep per check
+    over that check's own parameters, to the bit; seed 7 includes the
+    suite's known failures at a ReLU kink."""
+    oracle = ref.gradcheck_suite(scope="all", seeds=(seed,), extended=True)
+    losses_checks = training.LOSS_CHECKS + training.EXTENDED_LOSS_CHECKS
+    # the oracle runs each check on its own, so a scope's outcomes are a filter of all
+    for scope, checks in [("all", losses_checks + training.ENCODER_CHECKS),
+                          ("losses", losses_checks), ("encoders", training.ENCODER_CHECKS)]:
+        got = gradcheck_suite(scope=scope, seeds=(seed,), extended=True)
+        assert got == [o for o in oracle if o.name in checks]
+
+
+def test_gradcheck_suite_sweeps_each_micro_instance_once(monkeypatch):
+    encoder, cls, *_ = training._micro_setup(0)
+    n_coords = sum(p.data.size for p in {**encoder.named_parameters(),
+                                         **cls.named_parameters()}.values())
+    assert n_coords == 296
+    counts = []
+
+    def counting(loss_fn, params, **kwargs):
+        counts.append(0)
+
+        def counted():
+            counts[-1] += 1
+            return loss_fn()
+        return autodiff.grad_check_params(counted, params, **kwargs)
+
+    monkeypatch.setattr(training, "grad_check_params", counting)
+    gradcheck_suite(scope="all", seeds=(0, 1), extended=True)
+    # one analytic forward pass, then two evaluations per coordinate
+    assert counts == [1 + 2 * n_coords] * 2
+
+
+def test_gradcheck_checks_every_loss_term():
+    checked = training.LOSS_CHECKS + training.EXTENDED_LOSS_CHECKS
+    assert [t for t in losses.TERM_FLAGS if t not in checked] == []
+
+
 def test_gradcheck_suite_rejects_unknown_scope():
     with pytest.raises(ValueError):
         gradcheck_suite(scope="everything")
