@@ -209,7 +209,7 @@ def main(argv=None) -> int:
         return 1 if exc.code else 0
     try:
         return COMMANDS[args.command](args)
-    except (ValueError, OSError, MemoryError) as exc:
+    except (ValueError, OSError, MemoryError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except FloatingPointError as exc:  # TrainingAbort and NonFiniteError among them

@@ -8,12 +8,12 @@ identities, or the held-out ones when ``num_eval_identities`` is set),
 the first camera's videos are the designated query videos -- their first
 frames serve as the query images -- and the remaining videos form the
 gallery. All randomness flows through numpy's PCG64 generator, so a fixed
-seed reproduces the dataset bit for bit.
+seed reproduces the dataset bit for bit. Training batches hold P
+identities with K clips of T frames each.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -207,17 +207,17 @@ def sample_clip(video: VideoRecord, t: int, stride: int,
     # the start ranges over ceil(span / length) repeats of a short video
     timeline = -(-span // length) * length if length < span else length
     start = int(rng.integers(0, timeline - span + 1))
-    return video.frames[(start + stride * np.arange(t)) % length], start
+    # reduce the stride first, so the int64 products cannot wrap at any stride
+    return video.frames[(start + stride % length * np.arange(t)) % length], start
 
 
 def pk_batch_sampler(dataset: SyntheticDataset, p: int, k: int, t: int,
                      stride: int, rng: np.random.Generator):
     """Endless stream of batches: P train identities, K clips each, T frames.
 
-    Identities with fewer than K videos are sampled with replacement. With
-    K=1, the within-modality triplet terms have no positives (only the
-    cross-modality pairing through an anchor's own clip survives), so the
-    sampler warns once.
+    Identities with fewer than K videos are sampled with replacement. Any
+    K >= 1 is drawn as asked: ``training.RunConfig`` checks which batch
+    shapes the enabled loss terms can train on.
     """
     by_identity: dict[int, list[VideoRecord]] = {}
     for v in dataset.train_videos:
@@ -225,9 +225,6 @@ def pk_batch_sampler(dataset: SyntheticDataset, p: int, k: int, t: int,
     idents = sorted(by_identity)
     if len(idents) < p:
         raise ValueError(f"dataset has {len(idents)} train identities, need P={p}")
-    if k == 1:
-        warnings.warn("K=1 leaves within-modality triplet anchors without positives",
-                      stacklevel=2)
 
     def stream():
         while True:

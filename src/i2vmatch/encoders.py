@@ -193,8 +193,8 @@ def encode_image(frames: np.ndarray, params: EncoderParams) -> Tensor:
 
 
 def encode_video(clips: np.ndarray, params: EncoderParams) -> tuple[Tensor, Tensor]:
-    """Encode one clip (T, frame_len) or a batch of N clips (N, T, frame_len)
-    through the video trunk with attention.
+    """Encode a batch of N clips (N, T, frame_len) through the video trunk
+    with attention.
 
     The trunk runs once over all N*T positions; attention mixes positions
     only within their own clip. Returns ``(frame_feats, video_feat)``:
@@ -202,11 +202,8 @@ def encode_video(clips: np.ndarray, params: EncoderParams) -> tuple[Tensor, Tens
     mixing and spatial pooling, and each clip's temporal average (N, D).
     """
     clips = np.asarray(clips, dtype=np.float64)
-    if clips.ndim == 2:
-        clips = clips[None]
     if clips.ndim != 3:
-        raise ShapeError(f"encode_video expects (frames, frame_len) or "
-                         f"(clips, frames, frame_len), got {clips.shape}")
+        raise ShapeError(f"encode_video expects (clips, frames, frame_len), got {clips.shape}")
     n, t, flen = clips.shape
     if n * t < 1:
         raise ShapeError("encode_video needs at least one frame")

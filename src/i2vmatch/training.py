@@ -16,7 +16,6 @@ import hashlib
 import json
 import math
 import types
-import warnings
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from itertools import zip_longest
 from typing import get_args, get_origin, get_type_hints
@@ -33,7 +32,6 @@ from .autodiff import (
     scaled_sq_diff,
 )
 from .data import (
-    ClipBatch,
     SyntheticConfig,
     SyntheticDataset,
     format_floats,
@@ -349,11 +347,6 @@ def _build(cfg: RunConfig) -> TrainResult:
         log_lines=[])
 
 
-def _batch_features(batch: ClipBatch, encoder: EncoderParams) -> BatchFeatures:
-    i, f, v = encode_clip_batch(batch.clips, encoder)
-    return BatchFeatures(i, f, v, batch.labels)
-
-
 def _video_phase_terms(bf: BatchFeatures, cls: ClassifierParams,
                        cfg: LossConfig) -> dict[str, Tensor]:
     """Phase-1 objective for the pre-trained teacher mode: the video branch
@@ -374,7 +367,7 @@ def _run_phase(cfg: RunConfig, encoder: EncoderParams, optimizer: Adam, term_fn,
             batch = next(sampler)
             with Tape():
                 optimizer.zero_grad()
-                bf = _batch_features(batch, encoder)
+                bf = BatchFeatures(*encode_clip_batch(batch.clips, encoder), batch.labels)
                 terms = term_fn(bf)
                 total = sum_terms(terms)
                 value = total.item()
@@ -408,11 +401,8 @@ def train(cfg: RunConfig) -> TrainResult:
     _keep_heap()
     result = _build(cfg)
     encoder, cls = result.encoder, result.classifier
-    with warnings.catch_warnings():
-        # RunConfig has checked each term's batch shape; the warning is for direct callers
-        warnings.filterwarnings("ignore", "K=1", UserWarning)
-        sampler = pk_batch_sampler(result.dataset, cfg.p, cfg.k, cfg.t, cfg.stride,
-                                   np.random.default_rng(cfg.seed + 2))
+    sampler = pk_batch_sampler(result.dataset, cfg.p, cfg.k, cfg.t, cfg.stride,
+                               np.random.default_rng(cfg.seed + 2))
     result.log_lines.append(canonical_json({"format": LOG_FORMAT,
                                             "digest": config_digest(cfg)}))
 

@@ -279,7 +279,7 @@ def test_train_rejects_lr_decay_factor_above_one(tmp_path, capsys, source):
                                          ("--p", "loss term tri_i2v needs p >= 2")])
 @pytest.mark.parametrize("source", ["flag", "config"])
 def test_train_rejects_batch_shape_a_term_cannot_train(tmp_path, capsys, flag, words, source):
-    # rejected when the config is built: no dataset, no sampler warning
+    # rejected when the config is built, before any dataset or sampler
     if source == "flag":
         argv = ["--config", str(tiny_config_file(tmp_path)), flag, "1"]
     else:
@@ -292,7 +292,7 @@ def test_train_rejects_batch_shape_a_term_cannot_train(tmp_path, capsys, flag, w
 
 def test_train_k1_shape_that_trains_prints_nothing_to_stderr(tmp_path, capsys):
     # tri_i2i anchors have the other frame of their clip as a positive, and
-    # RunConfig has checked that; the sampler's K=1 warning is for direct callers
+    # RunConfig has checked that, so K=1 trains with nothing to warn about
     cfg = tiny_config_file(tmp_path, k=1, loss={"num_identities": 6, "use_v2v": False})
     run_dir = tmp_path / "run"
     with warnings.catch_warnings(record=True) as caught:
@@ -642,6 +642,25 @@ def test_synth_reports_a_frame_count_no_memory_holds(tmp_path, capsys):
     path.write_text(json.dumps(cfg))
     assert main(["synth", "--config", str(path), "--out", str(tmp_path / "d.txt")]) == 1
     assert "Unable to allocate" in assert_one_error_line(capsys)
+
+
+def test_train_reports_a_k_past_64_bits_in_one_line(tmp_path, capsys):
+    # 10**20 fits no C long, so the sampler fails before it allocates anything
+    run_dir = tmp_path / "run"
+    assert main(["train", "--config", str(tiny_config_file(tmp_path)), "--k", str(10**20),
+                 "--out-dir", str(run_dir)]) == 1
+    assert "too large to convert" in assert_one_error_line(capsys)
+    assert not run_dir.exists()
+
+
+def test_eval_reports_an_eval_clip_len_past_64_bits_in_one_line(tmp_path, capsys):
+    # train never reads eval_clip_len; eval fails on it before extracting a feature
+    run_dir = tmp_path / "run"
+    assert main(["train", "--config", str(tiny_config_file(tmp_path, eval_clip_len=10**20)),
+                 "--out-dir", str(run_dir)]) == 0
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(run_dir / "checkpoint.txt")]) == 1
+    assert "too large to convert" in assert_one_error_line(capsys)
 
 
 def test_wrong_type_message_names_the_type_not_the_value(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -13,8 +14,8 @@ from i2vmatch.data import (
     sample_clip,
     save_dataset,
 )
-from i2vmatch.encoders import TrunkConfig, encode_image, init_encoder_params
-from i2vmatch.training import _batch_features
+from i2vmatch.encoders import TrunkConfig, encode_clip_batch, encode_image, init_encoder_params
+from i2vmatch.losses import BatchFeatures
 
 import reference_kernels as ref
 from dataset_reader import load_dataset
@@ -207,6 +208,15 @@ def test_sample_clip_validation():
         VideoRecord(0, 0, np.zeros((0, 2)))
 
 
+@pytest.mark.parametrize("stride", [8, 2**62, 10**20])
+def test_sample_clip_rows_at_any_stride(stride):
+    # the rows are (start + stride*j) % length in Python ints, which never wrap
+    video = VideoRecord(0, 0, np.arange(50, dtype=float)[:, None])
+    for trial in range(20):
+        clip, start = sample_clip(video, 4, stride, np.random.default_rng(trial))
+        np.testing.assert_array_equal(clip[:, 0], [(start + stride * j) % 50 for j in range(4)])
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.integers(1, 30), st.integers(1, 6), st.integers(1, 10),
        st.integers(0, 2 ** 31 - 1))
@@ -236,16 +246,18 @@ def test_pk_batch_frame_labels_align():
     ds = generate_dataset(quiet_cfg())
     batch = next(pk_batch_sampler(ds, 2, 2, 3, 1, np.random.default_rng(1)))
     encoder = init_encoder_params(TrunkConfig(input_dim=6), num_blocks=0)
-    bf = _batch_features(batch, encoder)
+    bf = BatchFeatures(*encode_clip_batch(batch.clips, encoder), batch.labels)
     np.testing.assert_array_equal(bf.frame_labels, np.repeat(batch.labels, 3))
     np.testing.assert_array_equal(bf.image_feats.data[3:6],
                                   encode_image(batch.clips[1], encoder).data)
 
 
-def test_k1_warns():
+def test_k1_batch_draws_without_a_warning():
     ds = generate_dataset(quiet_cfg())
-    with pytest.warns(UserWarning, match="K=1"):
-        pk_batch_sampler(ds, 2, 1, 2, 1, np.random.default_rng(0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        batch = next(pk_batch_sampler(ds, 2, 1, 2, 1, np.random.default_rng(0)))
+    assert batch.clips.shape == (2, 2, 6)
 
 
 def test_too_few_identities_rejected():
@@ -271,14 +283,11 @@ def test_clip_provenance_single_video_origin():
 def test_identity_selection_frequency():
     ds = generate_dataset(quiet_cfg(num_identities=8))
     p, batches = 2, 1000
-    import warnings as _w
     counts = np.zeros(8)
-    with _w.catch_warnings():
-        _w.simplefilter("ignore")
-        stream = pk_batch_sampler(ds, p, 1, 1, 1, np.random.default_rng(3))
-        for batch in itertools.islice(stream, batches):
-            for ident in set(batch.labels.tolist()):
-                counts[ident] += 1
+    stream = pk_batch_sampler(ds, p, 1, 1, 1, np.random.default_rng(3))
+    for batch in itertools.islice(stream, batches):
+        for ident in set(batch.labels.tolist()):
+            counts[ident] += 1
     expect = batches * p / 8
     sigma = np.sqrt(batches * (p / 8) * (1 - p / 8))
     assert np.all(np.abs(counts - expect) <= 3 * sigma)

@@ -150,7 +150,7 @@ def test_video_collapses_to_image_at_init():
     params = small_params(num_blocks=2)
     rng = np.random.default_rng(7)
     clip = rng.standard_normal((4, 5))
-    frame_feats, _ = encode_video(clip, params)
+    frame_feats, _ = encode_video(clip[None], params)
     image_feats = encode_image(clip, params)
     np.testing.assert_array_equal(frame_feats.data, image_feats.data)
 
@@ -161,7 +161,7 @@ def test_video_feat_is_mean_of_frame_feats():
     for blk in params.blocks:
         blk.w_z.data = rng.standard_normal(blk.w_z.data.shape)
     clip = rng.standard_normal((5, 5))
-    frame_feats, video_feat = encode_video(clip, params)
+    frame_feats, video_feat = encode_video(clip[None], params)
     np.testing.assert_allclose(video_feat.data, frame_feats.data.mean(axis=0, keepdims=True),
                                atol=1e-12)
 
@@ -171,10 +171,10 @@ def test_cross_frame_dependence_with_active_block():
     rng = np.random.default_rng(9)
     params.blocks[0].w_z.data = rng.standard_normal(params.blocks[0].w_z.data.shape)
     clip = rng.standard_normal((4, 5))
-    base, _ = encode_video(clip, params)
+    base, _ = encode_video(clip[None], params)
     bumped = clip.copy()
     bumped[1] += 0.5
-    out, _ = encode_video(bumped, params)
+    out, _ = encode_video(bumped[None], params)
     assert np.linalg.norm(out.data[3] - base.data[3]) > 0
 
 
@@ -183,15 +183,15 @@ def test_temporal_pooling_permutation_invariant():
     rng = np.random.default_rng(10)
     params.blocks[0].w_z.data = rng.standard_normal(params.blocks[0].w_z.data.shape)
     clip = rng.standard_normal((6, 5))
-    _, v1 = encode_video(clip, params)
-    _, v2 = encode_video(clip[rng.permutation(6)], params)
+    _, v1 = encode_video(clip[None], params)
+    _, v2 = encode_video(clip[rng.permutation(6)][None], params)
     np.testing.assert_allclose(v1.data, v2.data, atol=1e-12)
 
 
 def test_empty_clip_rejected():
     params = small_params()
     with pytest.raises(ad.ShapeError):
-        encode_video(np.zeros((0, 5)), params)
+        encode_video(np.zeros((1, 0, 5)), params)
 
 
 def test_spatial_grid_pooling():
@@ -200,7 +200,7 @@ def test_spatial_grid_pooling():
     params = init_encoder_params(cfg, num_blocks=1, seed=0)
     rng = np.random.default_rng(11)
     clip = rng.standard_normal((3, cfg.frame_vector_len))
-    frame_feats, video_feat = encode_video(clip, params)
+    frame_feats, video_feat = encode_video(clip[None], params)
     assert frame_feats.data.shape == (3, 4)
     assert video_feat.data.shape == (1, 4)
     # a frame of identical positions pools to the single-position encoding
@@ -225,7 +225,7 @@ def test_batched_video_matches_single_clips(grid):
     frame_feats, video_feats = encode_video(clips, params)
     assert frame_feats.data.shape == (15, 4) and video_feats.data.shape == (5, 4)
     for c in range(5):
-        ff, vf = encode_video(clips[c], params)
+        ff, vf = encode_video(clips[c][None], params)
         np.testing.assert_allclose(frame_feats.data[3 * c:3 * c + 3], ff.data,
                                    rtol=0, atol=1e-12)
         np.testing.assert_allclose(video_feats.data[c], vf.data[0], rtol=0, atol=1e-12)
@@ -235,6 +235,11 @@ def test_encode_video_rank_error():
     params = small_params()
     with pytest.raises(ad.ShapeError):
         encode_video(np.zeros((2, 2, 2, 5)), params)
+
+
+def test_encode_video_rejects_a_single_unbatched_clip():
+    with pytest.raises(ad.ShapeError, match=r"\(clips, frames, frame_len\), got \(4, 5\)"):
+        encode_video(np.zeros((4, 5)), small_params())
 
 
 def test_num_blocks_range_validated():
@@ -254,8 +259,8 @@ def test_video_feat_shuffle_invariance_property(t, seed):
     rng = np.random.default_rng(seed)
     clip = rng.standard_normal((t, 5))
     with Tape():
-        _, v1 = encode_video(clip, params)
-        _, v2 = encode_video(clip[rng.permutation(t)], params)
+        _, v1 = encode_video(clip[None], params)
+        _, v2 = encode_video(clip[rng.permutation(t)][None], params)
     np.testing.assert_allclose(v1.data, v2.data, atol=1e-12)
 
 

@@ -63,7 +63,7 @@ def test_single_clip_video_feature():
     frames = rng.standard_normal((32, 4))
     video = VideoRecord(3, 1, frames)
     index = extract_gallery_features([video], params, clip_len=32)
-    _, want = encode_video(frames, params)
+    _, want = encode_video(frames[None], params)
     np.testing.assert_array_equal(index.features[0], want.data[0])
     assert index.identities[0] == 3 and index.cameras[0] == 1
 
@@ -73,7 +73,7 @@ def test_constant_video_pooling_degeneracy():
     frame = np.random.default_rng(3).standard_normal(4)
     video = VideoRecord(0, 0, np.tile(frame, (64, 1)))
     index = extract_gallery_features([video], params, clip_len=32)
-    _, one_clip = encode_video(np.tile(frame, (32, 1)), params)
+    _, one_clip = encode_video(np.tile(frame, (32, 1))[None], params)
     np.testing.assert_allclose(index.features[0], one_clip.data[0], atol=1e-12)
 
 
@@ -87,7 +87,8 @@ def test_batched_gallery_matches_per_video_encoding(monkeypatch, positions):
               for i, n in enumerate([9, 4, 1, 13, 7, 3, 8])]
     index = extract_gallery_features(videos, params, clip_len=4)
     for v, got in zip(videos, index.features):
-        clip_feats = [encode_video(c, params)[1].data[0] for c in split_into_clips(v.frames, 4)]
+        clip_feats = [encode_video(c[None], params)[1].data[0]
+                      for c in split_into_clips(v.frames, 4)]
         np.testing.assert_allclose(got, np.mean(clip_feats, axis=0), rtol=0, atol=1e-12)
     np.testing.assert_array_equal(index.identities, np.arange(7))
     np.testing.assert_array_equal(index.cameras, np.arange(7) % 2)
