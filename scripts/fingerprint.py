@@ -60,7 +60,8 @@ import numpy as np
 
 from i2vmatch import cli, evaluation
 from i2vmatch.data import VideoRecord, generate_dataset
-from i2vmatch.evaluation import PROTOCOLS, build_index, mean_average_precision, run_protocol
+from i2vmatch.evaluation import (PROTOCOLS, build_index, hit_matrix, mean_average_precision,
+                                 run_protocol)
 from i2vmatch.losses import LossConfig
 from i2vmatch.training import (benchmark_config, checkpoint_text, gradcheck_suite,
                                 save_checkpoint, train)
@@ -126,8 +127,8 @@ def _multi_relevant_digests(result) -> dict[str, str]:
             report = run_protocol(protocol, dataset, result.encoder,
                                   clip_len=cfg.eval_clip_len, k_max=cfg.k_max)
             rankings, gallery_ids = ranked[-1]
-            aps = [mean_average_precision(rankings[i:i + 1], query_ids[i:i + 1], gallery_ids)
-                   for i in range(len(query_ids))]
+            hits = hit_matrix(rankings, query_ids, gallery_ids)
+            aps = [mean_average_precision(hits[i:i + 1]) for i in range(len(query_ids))]
             digests[f"eval.multi.{protocol}"] = _sha256(json.dumps([report.to_dict(), aps]))
     finally:
         evaluation.rank_queries = rank_queries

@@ -41,6 +41,13 @@ RUN_FLAG_FIELDS = tuple(f.name for f in fields(RunConfig)
 LOSS_FLAG_FIELDS = ("margin", "bp_to_video")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors as ValueError, for ``main``'s one ``error:`` line."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def _load_config(args) -> RunConfig:
     if args.config:
         cfg = RunConfig.from_dict(parse_json(Path(args.config).read_text()))
@@ -72,7 +79,7 @@ def _add_config_flags(p: argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="i2vmatch",
         description="Image-to-video identity matching on synthetic data.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -181,10 +188,9 @@ def cmd_export_features(args) -> int:
     dataset, cfg = result.dataset, result.config
     records = []
     # the sides of the I2V protocol: first-frame queries, whole-video gallery
-    for side, kind, videos in zip(("query", "gallery"), PROTOCOL_SIDES["I2V"],
-                                  (dataset.query, dataset.gallery)):
+    for side, kind in zip(("query", "gallery"), PROTOCOL_SIDES["I2V"]):
         if args.which in (side, "both"):
-            index = build_index(kind, videos, result.encoder, cfg.eval_clip_len)
+            index = build_index(kind, getattr(dataset, side), result.encoder, cfg.eval_clip_len)
             records += zip(index.identities, index.cameras, index.features[:, None])
     write_records(args.out, cfg.trunk.output_dim, records)
     print(f"wrote {len(records)} feature records to {args.out}")
@@ -202,13 +208,11 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 1 if exc.code else 0
-    try:
+        args = build_parser().parse_args(argv)
         return COMMANDS[args.command](args)
+    except SystemExit:  # --help has printed its text
+        return 0
     except (ValueError, OSError, MemoryError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -219,7 +223,3 @@ def main(argv=None) -> int:
 
 def entrypoint():
     raise SystemExit(main())
-
-
-if __name__ == "__main__":
-    entrypoint()

@@ -14,7 +14,7 @@ identities with K clips of T frames each.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -101,35 +101,23 @@ class VideoRecord:
 
 @dataclass
 class SyntheticDataset:
+    """The videos and their train/query/gallery split (see the module
+    docstring), derived once at construction."""
+
     config: SyntheticConfig
     videos: list[VideoRecord]
+    train_videos: list[VideoRecord] = field(init=False, repr=False, compare=False)
+    query: list[VideoRecord] = field(init=False, repr=False, compare=False)
+    gallery: list[VideoRecord] = field(init=False, repr=False, compare=False)
 
-    def _split(self) -> tuple[set[int], set[int]]:
-        """(train, eval) identities: the last ``num_eval_identities`` are
-        held out, or the whole cast is both when none is set."""
+    def __post_init__(self):
         idents = sorted({v.identity for v in self.videos})
         k = self.config.num_eval_identities
-        return (set(idents), set(idents)) if k is None else (set(idents[:-k]), set(idents[-k:]))
-
-    @property
-    def train_videos(self) -> list[VideoRecord]:
-        train = self._split()[0]
-        return [v for v in self.videos if v.identity in train]
-
-    def _eval_videos(self, first_camera: bool) -> list[VideoRecord]:
-        first_cam = min(v.camera for v in self.videos)
-        evals = self._split()[1]
-        return [v for v in self.videos
-                if (v.camera == first_cam) == first_camera and v.identity in evals]
-
-    @property
-    def query(self) -> list[VideoRecord]:
-        """Designated query videos: the first camera of every eval identity."""
-        return self._eval_videos(first_camera=True)
-
-    @property
-    def gallery(self) -> list[VideoRecord]:
-        return self._eval_videos(first_camera=False)
+        evals = set(idents[-k:] if k else idents)
+        first_cam = min((v.camera for v in self.videos), default=None)
+        self.train_videos = [v for v in self.videos if not k or v.identity not in evals]
+        self.query = [v for v in self.videos if v.identity in evals and v.camera == first_cam]
+        self.gallery = [v for v in self.videos if v.identity in evals and v.camera != first_cam]
 
 
 @dataclass(frozen=True)

@@ -119,9 +119,10 @@ def rank_queries(query_feats: np.ndarray, gallery: GalleryIndex) -> np.ndarray:
     return np.argsort(d, axis=1, kind="stable")
 
 
-def _hit_matrix(rankings: np.ndarray, query_ids, gallery_ids) -> np.ndarray:
+def hit_matrix(rankings: np.ndarray, query_ids, gallery_ids) -> np.ndarray:
     """hits[q, r]: whether query q's rank-(r+1) gallery item shares its
-    identity. Raises ValueError naming the first query without a hit."""
+    identity; both metrics read it. Raises ValueError naming the first
+    query without a hit."""
     query_ids = np.asarray(query_ids)
     hits = np.asarray(gallery_ids)[rankings] == query_ids[:, None]
     matched = hits.any(axis=1)
@@ -132,17 +133,17 @@ def _hit_matrix(rankings: np.ndarray, query_ids, gallery_ids) -> np.ndarray:
     return hits
 
 
-def cmc(rankings: np.ndarray, query_ids, gallery_ids, k_max: int = 20) -> list[float]:
-    """top-k accuracy for k = 1..k_max: the fraction of queries whose first
-    correct match appears at rank <= k."""
-    first = _hit_matrix(rankings, query_ids, gallery_ids).argmax(axis=1)  # 0-based
-    return [float((first < k).mean()) for k in range(1, min(k_max, rankings.shape[1]) + 1)]
+def cmc(hits: np.ndarray, k_max: int = 20) -> list[float]:
+    """top-k accuracy for k = 1..k_max from a :func:`hit_matrix`: the
+    fraction of queries whose first correct match appears at rank <= k."""
+    first = hits.argmax(axis=1)  # 0-based
+    return [float((first < k).mean()) for k in range(1, min(k_max, hits.shape[1]) + 1)]
 
 
-def mean_average_precision(rankings: np.ndarray, query_ids, gallery_ids) -> float:
-    """Mean over queries of average precision: per query, the mean of
-    precision-at-rank over the ranks holding relevant items."""
-    hits = _hit_matrix(rankings, query_ids, gallery_ids)
+def mean_average_precision(hits: np.ndarray) -> float:
+    """Mean over the queries of a :func:`hit_matrix` of average precision:
+    per query, the mean of precision-at-rank over the ranks holding
+    relevant items."""
     precision = np.cumsum(hits, axis=1) / np.arange(1, hits.shape[1] + 1)
     # a mean per row over its own hits: one sum over a whole row would add
     # zeros between the hits and move the last bit; one (rows, c) mean per hit count c
@@ -187,13 +188,11 @@ def evaluate(dataset: SyntheticDataset, params: EncoderParams, protocols=PROTOCO
     for protocol in protocols:
         query_kind, gallery_kind = PROTOCOL_SIDES[protocol]
         queries, gallery = side(query_kind, "query"), side(gallery_kind, "gallery")
-        rankings = rank_queries(queries.features, gallery)
-        reports[protocol] = MetricsReport(
-            protocol=protocol,
-            cmc=cmc(rankings, queries.identities, gallery.identities, k_max),
-            map=mean_average_precision(rankings, queries.identities, gallery.identities),
-            num_queries=len(queries.identities),
-        )
+        hits = hit_matrix(rank_queries(queries.features, gallery), queries.identities,
+                          gallery.identities)
+        reports[protocol] = MetricsReport(protocol=protocol, cmc=cmc(hits, k_max),
+                                          map=mean_average_precision(hits),
+                                          num_queries=len(queries.identities))
     return reports
 
 

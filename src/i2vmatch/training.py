@@ -75,6 +75,11 @@ LOSS_SET_PRESETS = {
 }
 
 
+# ints that work at any size: seeds, the stride (reduced modulo the video length),
+# k_max (clipped to the gallery), the schedule; numpy takes the others as int64
+ANY_SIZE_INTS = ("seed", "stride", "k_max", "epochs", "batches_per_epoch", "lr_decay_every")
+
+
 class TrainingAbort(FloatingPointError):
     """Raised when a batch produces a non-finite loss; carries provenance."""
 
@@ -108,6 +113,13 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
+        parts = {"run": self, "synth": self.synth, "trunk": self.trunk, "loss": self.loss}
+        for section, part in parts.items():
+            for name, value in vars(part).items():
+                values = value if isinstance(value, tuple) else (value,)
+                if name not in ANY_SIZE_INTS and any(type(v) is int and not -2**63 <= v < 2**63
+                                                     for v in values):
+                    raise ValueError(f"{section}.{name} is too large to convert to int64")
         if self.teacher_mode not in TEACHER_MODES:
             raise ValueError(f"teacher_mode must be one of {TEACHER_MODES}")
         if self.trunk.frame_vector_len != self.synth.input_dim:

@@ -13,7 +13,8 @@ import pytest
 
 from i2vmatch.autodiff import Tape, backward
 from i2vmatch.encoders import encode_clip_batch, init_encoder_params, nonlocal_forward
-from i2vmatch.evaluation import cmc, mean_average_precision, rank_queries, GalleryIndex
+from i2vmatch.evaluation import (cmc, hit_matrix, mean_average_precision, rank_queries,
+                                 GalleryIndex)
 from i2vmatch.losses import (
     BatchFeatures,
     ClassifierParams,
@@ -145,7 +146,7 @@ def test_criterion_4_metric_oracles():
     gallery_ids = np.array([1, 1, 0, 0, 0, 0])
     exact = 0
     for perm in itertools.permutations(range(6)):
-        got = mean_average_precision(np.array([perm]), [1], gallery_ids)
+        got = mean_average_precision(hit_matrix(np.array([perm]), [1], gallery_ids))
         hits, precisions = 0, []
         for rank, j in enumerate(perm, start=1):
             if gallery_ids[j] == 1:
@@ -162,7 +163,7 @@ def test_criterion_4_metric_oracles():
         g_ids = rng.integers(0, 4, size=n_g)
         q_ids = np.array([rng.choice(g_ids) for _ in range(5)])
         rankings = np.stack([rng.permutation(n_g) for _ in range(5)])
-        got = cmc(rankings, q_ids, g_ids, k_max=n_g)
+        got = cmc(hit_matrix(rankings, q_ids, g_ids), k_max=n_g)
         first = [1 + min(r for r in range(n_g) if g_ids[rankings[q][r]] == q_ids[q])
                  for q in range(5)]
         want = [float(np.mean([f <= k for f in first])) for k in range(1, n_g + 1)]

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import warnings
@@ -8,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from i2vmatch.cli import _load_config, build_parser, main
-from i2vmatch.training import RunConfig, benchmark_config, checkpoint_text, load_checkpoint
+from i2vmatch.cli import LOSS_FLAG_FIELDS, RUN_FLAG_FIELDS, _load_config, build_parser, main
+from i2vmatch.training import (RunConfig, benchmark_config, canonical_json, checkpoint_text,
+                               load_checkpoint)
 
 from dataset_reader import load_dataset
 
@@ -593,6 +595,43 @@ def test_synth_takes_an_edited_config_or_rejects_it_in_one_line(edit_dir, data):
         assert len(err.getvalue().splitlines()) == 1
 
 
+@pytest.mark.parametrize("argv, words", [
+    (["synth", "--out", "f", "--k", "abc"], "argument --k: invalid int value: 'abc'"),
+    (["synth", "--out", "f", "--teacher-mode", "x"], "argument --teacher-mode: invalid choice"),
+    (["frobnicate"], "argument command: invalid choice: 'frobnicate'"),
+    (["synth"], "the following arguments are required: --out")])
+def test_parser_errors_print_one_line_without_the_usage_block(capsys, argv, words):
+    assert main(argv) == 1
+    err = assert_one_error_line(capsys)
+    assert err.startswith("error: i2vmatch") and words in err
+
+
+def test_help_prints_usage_and_exits_0(capsys):
+    assert main(["synth", "--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: i2vmatch synth")
+
+
+CLI_VALUES = st.one_of(
+    st.integers(-3, 3), st.sampled_from([2**63 - 1, 2**63, -2**63, -2**63 - 1, 10**20]),
+    st.sampled_from([float("nan"), float("inf"), -float("inf"), 1e308, -0.0]), st.text())
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(flag=st.sampled_from([n for n in RUN_FLAG_FIELDS + LOSS_FLAG_FIELDS
+                             if n != "bp_to_video"]), value=CLI_VALUES)
+def test_synth_takes_a_flag_value_or_rejects_it_in_one_line(edit_dir, flag, value):
+    config = tiny_config_file(edit_dir)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(["synth", "--config", str(config), "--out", str(edit_dir / "d.txt"),
+                     "--" + flag.replace("_", "-"), str(value)])
+    if code == 0:
+        assert err.getvalue() == ""
+    else:
+        assert code == 1 and "Traceback" not in err.getvalue()
+        assert len(err.getvalue().splitlines()) == 1
+
+
 @pytest.mark.parametrize("axis,values", [("nonlocal_blocks", "1,9"), ("T", " , ")])
 def test_sweep_rejects_bad_values_before_any_run(monkeypatch, capsys, axis, values):
     def no_train(cfg):
@@ -644,23 +683,53 @@ def test_synth_reports_a_frame_count_no_memory_holds(tmp_path, capsys):
     assert "Unable to allocate" in assert_one_error_line(capsys)
 
 
-def test_train_reports_a_k_past_64_bits_in_one_line(tmp_path, capsys):
-    # 10**20 fits no C long, so the sampler fails before it allocates anything
+def test_train_reports_a_k_past_64_bits_in_one_line(tmp_path, capsys, monkeypatch):
+    # 10**20 fits no int64: the config checks name the key before any data is generated
+    _no_dataset(monkeypatch)
     run_dir = tmp_path / "run"
     assert main(["train", "--config", str(tiny_config_file(tmp_path)), "--k", str(10**20),
                  "--out-dir", str(run_dir)]) == 1
-    assert "too large to convert" in assert_one_error_line(capsys)
+    err = assert_one_error_line(capsys)
+    assert "too large to convert" in err and "run.k " in err
     assert not run_dir.exists()
 
 
-def test_eval_reports_an_eval_clip_len_past_64_bits_in_one_line(tmp_path, capsys):
-    # train never reads eval_clip_len; eval fails on it before extracting a feature
-    run_dir = tmp_path / "run"
+def test_eval_reports_an_eval_clip_len_past_64_bits_in_one_line(tmp_path, capsys,
+                                                                 checkpoint_lines):
+    # train rejects the key; a checkpoint whose config holds it fails to load on it
     assert main(["train", "--config", str(tiny_config_file(tmp_path, eval_clip_len=10**20)),
-                 "--out-dir", str(run_dir)]) == 0
-    capsys.readouterr()
-    assert main(["eval", "--checkpoint", str(run_dir / "checkpoint.txt")]) == 1
-    assert "too large to convert" in assert_one_error_line(capsys)
+                 "--out-dir", str(tmp_path / "run")]) == 1
+    assert "run.eval_clip_len " in assert_one_error_line(capsys)
+    cfg = json.loads(checkpoint_lines[1][len("config "):])
+    config = canonical_json({**cfg, "eval_clip_len": 10**20})
+    digest = hashlib.sha256(config.encode()).hexdigest()[:16]
+    ckpt = tmp_path / "checkpoint.txt"
+    ckpt.write_text("\n".join([checkpoint_lines[0], "config " + config, "digest " + digest,
+                               *checkpoint_lines[3:]]) + "\n")
+    assert main(["eval", "--checkpoint", str(ckpt)]) == 1
+    err = assert_one_error_line(capsys)
+    assert "too large to convert" in err and "run.eval_clip_len " in err
+
+
+@pytest.mark.parametrize("section,key,value", [
+    ("synth", "input_dim", 2**63), ("synth", "frames_per_video", [10, 2**63]),
+    ("trunk", "hidden_dims", [8, 10**20]), ("loss", "num_identities", 2**64),
+    (None, "t", 10**20), (None, "p", -2**63 - 1)])
+def test_synth_names_an_extent_past_64_bits(tmp_path, capsys, monkeypatch, section, key, value):
+    _no_dataset(monkeypatch)
+    cfg = json.loads(tiny_config_file(tmp_path).read_text())
+    (cfg[section] if section else cfg)[key] = value
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["synth", "--config", str(path), "--out", str(tmp_path / "d.txt")]) == 1
+    assert f"{section or 'run'}.{key} is too large" in assert_one_error_line(capsys)
+
+
+def test_ints_that_work_at_any_size_are_not_bounded(tmp_path):
+    cfg = RunConfig.from_dict(json.loads(tiny_config_file(tmp_path).read_text()))
+    for name in ("seed", "stride", "k_max", "epochs", "batches_per_epoch", "lr_decay_every"):
+        assert getattr(replace(cfg, **{name: 10**20}), name) == 10**20
+    assert replace(cfg, synth=replace(cfg.synth, seed=10**20)).synth.seed == 10**20
 
 
 def test_wrong_type_message_names_the_type_not_the_value(tmp_path, capsys):

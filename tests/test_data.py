@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from i2vmatch.data import (
     SyntheticConfig,
+    SyntheticDataset,
     VideoRecord,
     generate_dataset,
     pk_batch_sampler,
@@ -156,6 +157,25 @@ def test_query_gallery_partition():
     assert len(ds.gallery) == 8
     assert {v.camera for v in ds.query} == {0}
     assert len(ds.query) + len(ds.gallery) == len(ds.videos)
+
+
+@pytest.mark.parametrize("held_out", [None, 2])
+def test_split_is_fixed_at_construction_in_video_order(held_out):
+    ds = generate_dataset(quiet_cfg(num_identities=6, cameras_per_identity=3,
+                                    num_eval_identities=held_out))
+    evals = {4, 5} if held_out else set(range(6))
+    train = set(range(4)) if held_out else evals
+    assert ds.train_videos == [v for v in ds.videos if v.identity in train]
+    assert ds.query == [v for v in ds.videos if v.identity in evals and v.camera == 0]
+    assert ds.gallery == [v for v in ds.videos if v.identity in evals and v.camera > 0]
+    assert ds.query is ds.query  # stored, not derived again on each read
+    assert "query" not in repr(ds)
+    assert SyntheticDataset(ds.config, ds.videos) == ds
+
+
+def test_empty_dataset_has_three_empty_splits():
+    ds = SyntheticDataset(quiet_cfg(), [])
+    assert ds.train_videos == ds.query == ds.gallery == []
 
 
 def test_config_validation():

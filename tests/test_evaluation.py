@@ -16,6 +16,7 @@ from i2vmatch.evaluation import (
     cmc,
     evaluate,
     extract_gallery_features,
+    hit_matrix,
     mean_average_precision,
     rank_queries,
     run_protocol,
@@ -190,13 +191,13 @@ def test_rank_queries_dimension_mismatch():
 
 def test_cmc_single_query_rank_two():
     rankings = np.array([[2, 0, 1]])
-    got = cmc(rankings, [7], [7, 1, 2], k_max=3)
+    got = cmc(hit_matrix(rankings, [7], [7, 1, 2]), k_max=3)
     assert got == [0.0, 1.0, 1.0]
 
 
 def test_cmc_all_first_hits():
     rankings = np.array([[0, 1], [1, 0]])
-    got = cmc(rankings, [5, 6], [5, 6], k_max=2)
+    got = cmc(hit_matrix(rankings, [5, 6], [5, 6]), k_max=2)
     assert got == [1.0, 1.0]
 
 
@@ -207,7 +208,7 @@ def test_cmc_matches_first_hit_oracle():
         gallery_ids = rng.integers(0, 4, size=n_g)
         query_ids = np.array([rng.choice(gallery_ids) for _ in range(n_q)])
         rankings = np.stack([rng.permutation(n_g) for _ in range(n_q)])
-        got = cmc(rankings, query_ids, gallery_ids, k_max=n_g)
+        got = cmc(hit_matrix(rankings, query_ids, gallery_ids), k_max=n_g)
         first = []
         for qi in range(n_q):
             ranked = gallery_ids[rankings[qi]]
@@ -219,14 +220,14 @@ def test_cmc_matches_first_hit_oracle():
 def test_cmc_query_without_match_errors():
     rankings = np.array([[0, 1]])
     with pytest.raises(ValueError, match="query 0"):
-        cmc(rankings, [9], [0, 1], k_max=2)
+        hit_matrix(rankings, [9], [0, 1])
 
 
 def test_cmc_error_names_the_first_unmatched_query():
     rankings = np.array([[0, 1, 2]] * 5)
     # queries 1, 3 and 4 have no gallery item of their identity
     with pytest.raises(ValueError, match=r"query 1 \(identity 8\)"):
-        cmc(rankings, [0, 8, 1, 9, 7], [0, 1, 2], k_max=3)
+        hit_matrix(rankings, [0, 8, 1, 9, 7], [0, 1, 2])
 
 
 @settings(max_examples=30, deadline=None)
@@ -237,7 +238,7 @@ def test_cmc_monotone_property(seed):
     gallery_ids = rng.integers(0, 3, size=n_g)
     query_ids = np.array([rng.choice(gallery_ids) for _ in range(4)])
     rankings = np.stack([rng.permutation(n_g) for _ in range(4)])
-    curve = cmc(rankings, query_ids, gallery_ids, k_max=n_g)
+    curve = cmc(hit_matrix(rankings, query_ids, gallery_ids), k_max=n_g)
     assert all(b >= a for a, b in zip(curve, curve[1:]))
     assert curve[-1] == 1.0
 
@@ -248,13 +249,13 @@ def test_cmc_monotone_property(seed):
 
 def test_ap_single_relevant_at_rank_one():
     rankings = np.array([[0, 1, 2]])
-    assert mean_average_precision(rankings, [3], [3, 1, 2]) == 1.0
+    assert mean_average_precision(hit_matrix(rankings, [3], [3, 1, 2])) == 1.0
 
 
 def test_ap_two_relevant_ranks_1_and_3():
     # AP = (1/1 + 2/3) / 2 = 5/6
     rankings = np.array([[0, 1, 2, 3, 4]])
-    got = mean_average_precision(rankings, [1], [1, 0, 1, 0, 0])
+    got = mean_average_precision(hit_matrix(rankings, [1], [1, 0, 1, 0, 0]))
     assert got == pytest.approx(5.0 / 6.0)
 
 
@@ -272,7 +273,7 @@ def test_map_matches_bruteforce_on_all_720_orderings():
     gallery_ids = np.array([1, 1, 0, 0, 0, 0])
     for perm in itertools.permutations(range(6)):
         rankings = np.array([perm])
-        got = mean_average_precision(rankings, [1], gallery_ids)
+        got = mean_average_precision(hit_matrix(rankings, [1], gallery_ids))
         want = brute_force_ap([gallery_ids[j] == 1 for j in perm])
         assert got == want
 
@@ -291,7 +292,8 @@ def test_map_with_many_relevant_items_matches_per_query_reference():
             hit_positions = np.flatnonzero(gallery_ids[order] == qid)
             h = hit_positions.size
             aps.append((np.arange(1, h + 1) / (hit_positions + 1)).mean())
-        assert mean_average_precision(rankings, query_ids, gallery_ids) == float(np.mean(aps))
+        hits = hit_matrix(rankings, query_ids, gallery_ids)
+        assert mean_average_precision(hits) == float(np.mean(aps))
 
 
 def test_map_over_many_hit_counts_in_one_call_matches_per_row_means():
@@ -306,7 +308,7 @@ def test_map_over_many_hit_counts_in_one_call_matches_per_row_means():
         hits = gallery_ids[rankings] == query_ids[:, None]
         precision = np.cumsum(hits, axis=1) / np.arange(1, gallery_ids.size + 1)
         want = float(np.mean([row[hit].mean() for row, hit in zip(precision, hits)]))
-        assert mean_average_precision(rankings, query_ids, gallery_ids) == want
+        assert mean_average_precision(hit_matrix(rankings, query_ids, gallery_ids)) == want
 
 
 def test_metrics_isometry_invariance():
@@ -319,9 +321,9 @@ def test_metrics_isometry_invariance():
     shiftv = rng.standard_normal(4)
     base_rank = rank_queries(q, gallery_of(gf, g_ids))
     moved_rank = rank_queries(q @ rot + shiftv, gallery_of(gf @ rot + shiftv, g_ids))
-    assert cmc(base_rank, q_ids, g_ids, 15) == cmc(moved_rank, q_ids, g_ids, 15)
-    assert mean_average_precision(base_rank, q_ids, g_ids) == pytest.approx(
-        mean_average_precision(moved_rank, q_ids, g_ids))
+    base, moved = hit_matrix(base_rank, q_ids, g_ids), hit_matrix(moved_rank, q_ids, g_ids)
+    assert cmc(base, 15) == cmc(moved, 15)
+    assert mean_average_precision(base) == pytest.approx(mean_average_precision(moved))
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +375,7 @@ def test_untrained_encoder_near_chance_level():
     null = []
     for _ in range(200):
         shuffled = rng.permutation(gallery.identities)
-        null.append(mean_average_precision(rankings, q_ids, shuffled))
+        null.append(mean_average_precision(hit_matrix(rankings, q_ids, shuffled)))
     lo, hi = np.quantile(null, [0.025, 0.975])
     assert lo <= rep.map <= hi
 
