@@ -36,7 +36,8 @@ class ShapeError(ValueError):
 
 
 class NonFiniteError(FloatingPointError):
-    """A forward or finite-difference evaluation produced NaN/Inf."""
+    """The one numerical-failure class: a loss, an update, a finite-difference
+    evaluation or extracted features produced NaN/Inf."""
 
 
 class _TapeEntry:
@@ -303,7 +304,7 @@ def triplet_hinge_mean(dists: Tensor, pos, neg, margin: float) -> Tensor:
     h = (d[pos] - d[neg]) + float(margin)
     mask = h > 0
     n = h.size
-    out = Tensor((np.fmax(h, 0.0) + 0.0).sum() / n)  # relu's exact where-form
+    out = Tensor(_relu_in_place(h).sum() / n)
 
     def bw(g):
         gh = np.full_like(h, float(g) / n) * mask

@@ -47,6 +47,12 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise ValueError(f"{self.prog}: {message}")
 
+    def parse_args(self, args=None, namespace=None):
+        args, extras = self.parse_known_args(args, namespace)
+        if extras:  # quoted, as argparse quotes a value in its other messages
+            self.error("unrecognized arguments: " + " ".join(map(repr, extras)))
+        return args
+
 
 def _load_config(args) -> RunConfig:
     if args.config:
@@ -216,7 +222,7 @@ def main(argv=None) -> int:
     except (ValueError, OSError, MemoryError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except FloatingPointError as exc:  # TrainingAbort and NonFiniteError among them
+    except FloatingPointError as exc:  # autodiff.NonFiniteError
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
 

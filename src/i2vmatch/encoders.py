@@ -220,10 +220,7 @@ def encode_clip_batch(
     Returns ``(image_feats, frame_feats, video_feats)`` with the image and
     frame rows in matching clip-major order.
     """
-    clips = np.asarray(clips, dtype=np.float64)
-    if clips.ndim != 3:
-        raise ShapeError(f"expected (clips, frames, frame_len), got {clips.shape}")
-    n, t, flen = clips.shape
-    image_feats = encode_image(clips.reshape(n * t, flen), params)
-    frame_feats, video_feats = encode_video(clips, params)
+    frame_feats, video_feats = encode_video(clips, params)  # checks (N, T, frame_len)
+    n, t, flen = np.shape(clips)
+    image_feats = encode_image(np.reshape(clips, (n * t, flen)), params)
     return image_feats, frame_feats, video_feats

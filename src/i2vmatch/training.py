@@ -23,6 +23,7 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 
 from .autodiff import (
+    NonFiniteError,
     Tape,
     Tensor,
     add_n,
@@ -78,10 +79,6 @@ LOSS_SET_PRESETS = {
 # ints that work at any size: seeds, the stride (reduced modulo the video length),
 # k_max (clipped to the gallery), the schedule; numpy takes the others as int64
 ANY_SIZE_INTS = ("seed", "stride", "k_max", "epochs", "batches_per_epoch", "lr_decay_every")
-
-
-class TrainingAbort(FloatingPointError):
-    """Raised when a batch produces a non-finite loss; carries provenance."""
 
 
 @dataclass(frozen=True)
@@ -384,12 +381,12 @@ def _run_phase(cfg: RunConfig, encoder: EncoderParams, optimizer: Adam, term_fn,
                 total = sum_terms(terms)
                 value = total.item()
                 if not math.isfinite(value):
-                    raise TrainingAbort(f"non-finite loss at epoch {epoch} batch {b}; "
-                                        f"clip provenance: {batch.provenance}")
+                    raise NonFiniteError(f"non-finite loss at epoch {epoch} batch {b}; "
+                                         f"clip provenance: {batch.provenance}")
                 backward(total)
                 if not optimizer.step(lr):
-                    raise TrainingAbort(f"non-finite parameters after the update at epoch "
-                                        f"{epoch} batch {b}")
+                    raise NonFiniteError(f"non-finite parameters after the update at epoch "
+                                         f"{epoch} batch {b}")
             record = {"epoch": epoch, "batch": b, "lr": lr,
                       **{name: t.item() for name, t in terms.items()}, "total": value}
             if phase:
@@ -604,8 +601,6 @@ _FLAG_VALUES = {"1": True, "on": True, "true": True, "0": False, "off": False, "
 def parse_flag(value) -> bool:
     """A ``bp_to_video`` sweep value: a bool, or one of 1/on/true/0/off/false
     in any case."""
-    if isinstance(value, bool):
-        return value
     flag = _FLAG_VALUES.get(str(value).strip().lower())
     if flag is None:
         raise ValueError(f"bp_to_video value {value!r} is not one of "

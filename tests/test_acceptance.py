@@ -7,6 +7,7 @@ training seeds 0, 1, 2.
 
 import itertools
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,8 +18,6 @@ from i2vmatch.evaluation import (cmc, hit_matrix, mean_average_precision, rank_q
                                  GalleryIndex)
 from i2vmatch.losses import (
     BatchFeatures,
-    ClassifierParams,
-    LossConfig,
     batch_hard_triplet,
     distance_transfer_loss,
     feature_transfer_loss,
@@ -26,6 +25,7 @@ from i2vmatch.losses import (
     sum_terms,
 )
 from i2vmatch.training import (
+    _micro_setup,
     apply_axis,
     benchmark_config,
     checkpoint_text,
@@ -64,19 +64,10 @@ def test_criterion_1_gradient_suite():
 # 2. stop-gradient contract
 # ---------------------------------------------------------------------------
 
-def micro_batch(seed=0, bp_to_video=False):
-    from i2vmatch.encoders import TrunkConfig
-
-    trunk = TrunkConfig(input_dim=4, hidden_dims=(6, 6), output_dim=5)
-    encoder = init_encoder_params(trunk, num_blocks=1, seed=seed)
-    rng = np.random.default_rng(seed + 31)
-    encoder.blocks[0].w_z.data = 0.3 * rng.standard_normal(
-        encoder.blocks[0].w_z.data.shape)
-    cls = ClassifierParams.init(5, 2, seed=seed + 1)
-    clips = rng.standard_normal((4, 2, 4))
-    labels = np.array([0, 0, 1, 1])
-    cfg = LossConfig(num_identities=2, use_cls=False, use_i2v=False, use_v2i=False,
-                     use_i2i=False, use_v2v=False, bp_to_video=bp_to_video)
+def micro_batch(bp_to_video):
+    """The gradient suite's micro-instance with only the two transfer terms."""
+    encoder, cls, clips, labels, cfg = _micro_setup(0)
+    cfg = replace(cfg.with_terms(("transfer_feat", "transfer_dist")), bp_to_video=bp_to_video)
     return encoder, cls, clips, labels, cfg
 
 

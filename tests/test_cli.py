@@ -5,6 +5,7 @@ import json
 import warnings
 from dataclasses import fields, is_dataclass, replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -599,7 +600,8 @@ def test_synth_takes_an_edited_config_or_rejects_it_in_one_line(edit_dir, data):
     (["synth", "--out", "f", "--k", "abc"], "argument --k: invalid int value: 'abc'"),
     (["synth", "--out", "f", "--teacher-mode", "x"], "argument --teacher-mode: invalid choice"),
     (["frobnicate"], "argument command: invalid choice: 'frobnicate'"),
-    (["synth"], "the following arguments are required: --out")])
+    (["synth"], "the following arguments are required: --out"),
+    (["synth", "--out", "f", "a\nb"], "unrecognized arguments: 'a\\nb'")])
 def test_parser_errors_print_one_line_without_the_usage_block(capsys, argv, words):
     assert main(argv) == 1
     err = assert_one_error_line(capsys)
@@ -794,6 +796,20 @@ def test_train_non_finite_update_exits_2_without_a_run_dir(tmp_path, capsys):
     err = assert_one_error_line(capsys)
     assert "non-finite parameters" in err and "epoch 0 batch 0" in err
     assert not out.exists()
+
+
+def test_eval_of_overflowed_features_exits_2(tmp_path, capsys):
+    # a learning rate of 1e300 leaves finite parameters whose features overflow
+    run_dir = tmp_path / "run"
+    assert main(["train", "--learning-rate", "1e300", "--epochs", "1",
+                 "--batches-per-epoch", "1", "--out-dir", str(run_dir)]) == 0
+    capsys.readouterr()
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["eval", "--checkpoint", str(run_dir / "checkpoint.txt"),
+                     "--protocol", "I2V"])
+    assert code == 2
+    err = assert_one_error_line(capsys)
+    assert err == "numerical failure: features must be finite\n"
 
 
 @pytest.mark.parametrize("nested", [False, True], ids=["file", "under_file"])

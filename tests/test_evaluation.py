@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from i2vmatch import evaluation
-from i2vmatch.autodiff import ShapeError
+from i2vmatch.autodiff import NonFiniteError, ShapeError
 from i2vmatch.data import SyntheticConfig, SyntheticDataset, VideoRecord, generate_dataset
 from i2vmatch.encoders import TrunkConfig, encode_video, init_encoder_params
 from i2vmatch.evaluation import (
@@ -183,6 +183,18 @@ def test_rank_queries_dimension_mismatch():
     g = gallery_of(np.zeros((3, 4)), [0, 1, 2])
     with pytest.raises(ShapeError):
         rank_queries(np.zeros((2, 3)), g)
+
+
+def test_rank_queries_rejects_a_1d_query():
+    g = gallery_of(np.zeros((3, 4)), [0, 1, 2])
+    with pytest.raises(ShapeError, match="2-d"):
+        rank_queries(np.zeros(4), g)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_gallery_index_rejects_non_finite_features_as_a_numerical_failure(bad):
+    with pytest.raises(NonFiniteError, match="^features must be finite$"):
+        gallery_of([[0.0, 1.0], [bad, 0.0]], [0, 1])
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from i2vmatch import autodiff, encoders, losses, training
-from i2vmatch.autodiff import Tape, Tensor, backward
+from i2vmatch.autodiff import NonFiniteError, Tape, Tensor, backward
 from i2vmatch.data import SyntheticConfig
 from i2vmatch.encoders import TrunkConfig, encode_clip_batch, init_encoder_params
 from i2vmatch.evaluation import PROTOCOLS
@@ -16,7 +16,6 @@ from i2vmatch.losses import BatchFeatures, ClassifierParams, LossConfig, loss_te
 from i2vmatch.training import (
     Adam,
     RunConfig,
-    TrainingAbort,
     _video_phase_terms,
     apply_axis,
     benchmark_config,
@@ -25,6 +24,7 @@ from i2vmatch.training import (
     evaluate_result,
     gradcheck_suite,
     load_checkpoint,
+    parse_flag,
     save_checkpoint,
     sweep,
     train,
@@ -242,7 +242,7 @@ def test_non_finite_update_aborts_at_the_batch_that_made_it(batches):
     cfg = benchmark_config(learning_rate=1e308, epochs=1, batches_per_epoch=batches)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(TrainingAbort, match="parameters .* epoch 0 batch 0$"):
+        with pytest.raises(NonFiniteError, match="parameters .* epoch 0 batch 0$"):
             train(cfg)
 
 
@@ -417,7 +417,7 @@ def test_nonfinite_loss_aborts_with_provenance():
     cfg = tiny_config()
     cfg = replace(cfg, synth=replace(cfg.synth, prototype_scale=1e200))
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(TrainingAbort, match="epoch"):
+        with pytest.raises(NonFiniteError, match="epoch"):
             train(cfg)
 
 
@@ -566,6 +566,18 @@ def test_sweep_loss_set_axis():
     cfg = tiny_config(epochs=1, batches_per_epoch=2)
     rows = sweep("loss_set", ["i2v-tri", "baseline"], cfg)
     assert [r["value"] for r in rows] == ["i2v-tri", "baseline"]
+
+
+@pytest.mark.parametrize("value, flag", [
+    (True, True), (False, False), (" 1 ", True), ("On", True), ("\tTRUE\n", True),
+    ("0", False), (" oFF", False), ("False ", False)])
+def test_parse_flag_maps_bools_and_text(value, flag):
+    assert parse_flag(value) is flag
+
+
+def test_parse_flag_rejects_other_values():
+    with pytest.raises(ValueError, match="'yes' is not one of 1/on/true/0/off/false"):
+        parse_flag("yes")
 
 
 def test_apply_axis_variants():
