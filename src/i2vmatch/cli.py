@@ -13,10 +13,15 @@ import json
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
+from typing import get_type_hints
+
+import numpy as np
 
 from .data import generate_dataset, save_dataset, write_records
-from .evaluation import PROTOCOL_SIDES, PROTOCOLS, build_index
+from .evaluation import PROTOCOL_SIDES, PROTOCOLS, build_side
+from .losses import LossConfig
 from .training import (
+    SECTIONS,
     RunConfig,
     SWEEP_AXES,
     TEACHER_MODES,
@@ -36,8 +41,7 @@ from .training import (
 
 # the config fields that flags set: every scalar RunConfig field, then two
 # LossConfig knobs; each flag is the field name with dashes
-RUN_FLAG_FIELDS = tuple(f.name for f in fields(RunConfig)
-                        if f.name not in ("synth", "trunk", "loss"))
+RUN_FLAG_FIELDS = tuple(f.name for f in fields(RunConfig) if f.name not in SECTIONS)
 LOSS_FLAG_FIELDS = ("margin", "bp_to_video")
 
 
@@ -63,25 +67,20 @@ def _load_config(args) -> RunConfig:
             if getattr(args, name) is not None}
     run = {name: getattr(args, name) for name in RUN_FLAG_FIELDS
            if getattr(args, name) is not None}
-    if loss:
-        cfg = replace(cfg, loss=replace(cfg.loss, **loss))
-    if run:
-        cfg = replace(cfg, **run)
-    return cfg
+    return replace(cfg, loss=replace(cfg.loss, **loss), **run)
 
 
 def _add_config_flags(p: argparse.ArgumentParser):
     p.add_argument("--config", help="JSON config file (benchmark defaults if omitted)")
-    defaults = benchmark_config()
+    hints = {**get_type_hints(LossConfig), **get_type_hints(RunConfig)}
     for name in RUN_FLAG_FIELDS + LOSS_FLAG_FIELDS:
         flag = "--" + name.replace("_", "-")
-        if name == "bp_to_video":
+        if hints[name] is bool:
             p.add_argument(flag, dest=name, action="store_true", default=None)
         elif name == "teacher_mode":
             p.add_argument(flag, dest=name, choices=TEACHER_MODES)
         else:
-            default = getattr(defaults.loss if name in LOSS_FLAG_FIELDS else defaults, name)
-            p.add_argument(flag, dest=name, type=type(default))
+            p.add_argument(flag, dest=name, type=hints[name])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -93,21 +92,25 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate and export a synthetic dataset")
     _add_config_flags(p)
     p.add_argument("--out", required=True, help="output dataset file")
+    p.set_defaults(run=cmd_synth)
 
     p = sub.add_parser("train", help="train both encoders")
     _add_config_flags(p)
     p.add_argument("--out-dir", required=True, help="directory for checkpoint and log")
+    p.set_defaults(run=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--protocol", choices=PROTOCOLS, default="I2V")
     p.add_argument("--config", help="optional config to verify against the checkpoint")
     p.add_argument("--out", help="write the JSON report here")
+    p.set_defaults(run=cmd_eval)
 
     p = sub.add_parser("gradcheck", help="finite-difference verification suite")
     p.add_argument("--scope", choices=("all", "losses", "encoders"), default="all")
     p.add_argument("--seeds", type=int, nargs="+", default=[0])
     p.add_argument("--tol", type=float, default=1e-4)
+    p.set_defaults(run=cmd_gradcheck)
 
     p = sub.add_parser("sweep", help="train/eval one run per axis value")
     _add_config_flags(p)
@@ -115,11 +118,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--values", required=True,
                    help="comma-separated axis values (e.g. 1,2,4,8 or on,off)")
     p.add_argument("--out", help="write the JSON rows here")
+    p.set_defaults(run=cmd_sweep)
 
     p = sub.add_parser("export-features", help="export encoded features as text records")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--which", choices=("query", "gallery", "both"), default="both")
     p.add_argument("--out", required=True)
+    p.set_defaults(run=cmd_export_features)
     return parser
 
 
@@ -196,33 +201,25 @@ def cmd_export_features(args) -> int:
     # the sides of the I2V protocol: first-frame queries, whole-video gallery
     for side, kind in zip(("query", "gallery"), PROTOCOL_SIDES["I2V"]):
         if args.which in (side, "both"):
-            index = build_index(kind, getattr(dataset, side), result.encoder, cfg.eval_clip_len)
+            index = build_side(dataset, side, kind, result.encoder, cfg.eval_clip_len)
             records += zip(index.identities, index.cameras, index.features[:, None])
     write_records(args.out, cfg.trunk.output_dim, records)
     print(f"wrote {len(records)} feature records to {args.out}")
     return 0
 
 
-COMMANDS = {
-    "synth": cmd_synth,
-    "train": cmd_train,
-    "eval": cmd_eval,
-    "gradcheck": cmd_gradcheck,
-    "sweep": cmd_sweep,
-    "export-features": cmd_export_features,
-}
-
-
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return COMMANDS[args.command](args)
+        # a numpy overflow, invalid or divide error is a numerical failure
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return args.run(args)
     except SystemExit:  # --help has printed its text
         return 0
     except (ValueError, OSError, MemoryError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except FloatingPointError as exc:  # autodiff.NonFiniteError
+    except FloatingPointError as exc:  # autodiff.NonFiniteError, or numpy's
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
 

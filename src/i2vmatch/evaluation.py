@@ -75,7 +75,7 @@ class MetricsReport:
 
 
 def extract_gallery_features(videos: list[VideoRecord], params: EncoderParams,
-                             clip_len: int = 32) -> GalleryIndex:
+                             clip_len: int) -> GalleryIndex:
     """Encode each video as the mean of its clips' pooled features: its
     consecutive ``clip_len``-frame chunks, a short last one repeated
     cyclically. Clips of consecutive videos are encoded together, at most
@@ -130,7 +130,7 @@ def hit_matrix(rankings: np.ndarray, query_ids, gallery_ids) -> np.ndarray:
     return hits
 
 
-def cmc(hits: np.ndarray, k_max: int = 20) -> list[float]:
+def cmc(hits: np.ndarray, k_max: int) -> list[float]:
     """top-k accuracy for k = 1..k_max from a :func:`hit_matrix`: the
     fraction of queries whose first correct match appears at rank <= k."""
     first = hits.argmax(axis=1)  # 0-based
@@ -152,7 +152,7 @@ def mean_average_precision(hits: np.ndarray) -> float:
 
 
 def build_index(kind: str, videos: list[VideoRecord], params: EncoderParams,
-                clip_len: int = 32) -> GalleryIndex:
+                clip_len: int) -> GalleryIndex:
     """Features of one protocol side: ``"image"`` encodes each video's first
     frame with the image network, ``"video"`` the whole video with the video
     network (see :func:`extract_gallery_features`)."""
@@ -163,8 +163,17 @@ def build_index(kind: str, videos: list[VideoRecord], params: EncoderParams,
     return GalleryIndex(feats, [v.identity for v in videos], [v.camera for v in videos])
 
 
-def evaluate(dataset: SyntheticDataset, params: EncoderParams, protocols=PROTOCOLS,
-             clip_len: int = 32, k_max: int = 20) -> dict[str, MetricsReport]:
+def build_side(dataset: SyntheticDataset, split: str, kind: str, params: EncoderParams,
+               clip_len: int) -> GalleryIndex:
+    """:func:`build_index` of one split; numpy's floating-point errors name the side."""
+    try:
+        return build_index(kind, getattr(dataset, split), params, clip_len)
+    except FloatingPointError as exc:
+        raise NonFiniteError(f"{split} {kind} features: {exc}") from None
+
+
+def evaluate(dataset: SyntheticDataset, params: EncoderParams, protocols=PROTOCOLS, *,
+             clip_len: int, k_max: int) -> dict[str, MetricsReport]:
     """Score each named protocol on the dataset's query/gallery split.
 
     Protocols share their sides: each (kind, split) side is built once, so
@@ -178,15 +187,18 @@ def evaluate(dataset: SyntheticDataset, params: EncoderParams, protocols=PROTOCO
 
     def side(kind: str, split: str) -> GalleryIndex:
         if (kind, split) not in sides:
-            sides[kind, split] = build_index(kind, getattr(dataset, split), params, clip_len)
+            sides[kind, split] = build_side(dataset, split, kind, params, clip_len)
         return sides[kind, split]
 
     reports = {}
     for protocol in protocols:
         query_kind, gallery_kind = PROTOCOL_SIDES[protocol]
         queries, gallery = side(query_kind, "query"), side(gallery_kind, "gallery")
-        hits = hit_matrix(rank_queries(queries.features, gallery), queries.identities,
-                          gallery.identities)
+        try:
+            rankings = rank_queries(queries.features, gallery)
+        except FloatingPointError as exc:
+            raise NonFiniteError(f"{protocol} distances: {exc}") from None
+        hits = hit_matrix(rankings, queries.identities, gallery.identities)
         reports[protocol] = MetricsReport(protocol=protocol, cmc=cmc(hits, k_max),
                                           map=mean_average_precision(hits),
                                           num_queries=len(queries.identities))
@@ -194,6 +206,6 @@ def evaluate(dataset: SyntheticDataset, params: EncoderParams, protocols=PROTOCO
 
 
 def run_protocol(protocol: str, dataset: SyntheticDataset, params: EncoderParams,
-                 clip_len: int = 32, k_max: int = 20) -> MetricsReport:
+                 clip_len: int, k_max: int) -> MetricsReport:
     """Evaluate one retrieval protocol: :func:`evaluate` of that one name."""
-    return evaluate(dataset, params, (protocol,), clip_len, k_max)[protocol]
+    return evaluate(dataset, params, (protocol,), clip_len=clip_len, k_max=k_max)[protocol]

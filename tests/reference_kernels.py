@@ -350,8 +350,8 @@ class Adam:
             p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + 1e-8)
 
 
-def grad_check(f, x0: Tensor) -> ad.GradCheckReport:
-    """Check the gradient of scalar-valued ``f`` at a copy of ``x0``."""
+def grad_check(f, x0: Tensor) -> float:
+    """The largest gradient error of scalar-valued ``f`` at a copy of ``x0``."""
     x = Tensor(x0.data.copy(), requires_grad=True)
     return ad.grad_check_params(lambda: f(x), {"x": x})["x"]
 
@@ -413,10 +413,9 @@ def gradcheck_suite(scope: str = "all", seeds=(0,), tol: float = 1e-4,
                 fn, params = _encoder_check(name, encoder, clips)
             else:
                 fn, params = _loss_fn_for(name, encoder, cls, clips, labels, cfg), everything
-            reports = ad.grad_check_params(fn, params, tol=tol)
-            worst_param, worst = max(reports.items(), key=lambda kv: kv[1].max_rel_err)
-            outcomes.append(CheckOutcome(name=name, seed=seed,
-                                         max_rel_err=worst.max_rel_err,
-                                         passed=all(r.passed for r in reports.values()),
+            errors = ad.grad_check_params(fn, params)
+            worst_param, worst = max(errors.items(), key=lambda kv: kv[1])
+            outcomes.append(CheckOutcome(name=name, seed=seed, max_rel_err=worst,
+                                         passed=all(e <= tol for e in errors.values()),
                                          worst_param=worst_param))
     return outcomes

@@ -244,8 +244,8 @@ def test_gradcheck_matmul(seed):
     def f(x):
         return sum_all(square(matmul(x, b)))
 
-    rep = grad_check(f, rand(rng, 3, 4))
-    assert rep.passed and rep.max_rel_err <= 1e-6
+    err = grad_check(f, rand(rng, 3, 4))
+    assert err <= 1e-6
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
@@ -255,8 +255,8 @@ def test_gradcheck_softmax(seed):
     def f(x):
         return sum_all(square(softmax_rows(x)))
 
-    rep = grad_check(f, rand(rng, 4, 5))
-    assert rep.passed and rep.max_rel_err <= 1e-6
+    err = grad_check(f, rand(rng, 4, 5))
+    assert err <= 1e-6
 
 
 def test_gradcheck_softmax_first_component():
@@ -265,8 +265,8 @@ def test_gradcheck_softmax_first_component():
     def f(x):
         return sum_all(gather(softmax_rows(x), [0], [0]))
 
-    rep = grad_check(f, rand(rng, 1, 5))
-    assert rep.max_rel_err <= 1e-6
+    err = grad_check(f, rand(rng, 1, 5))
+    assert err <= 1e-6
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
@@ -285,8 +285,8 @@ def test_gradcheck_softmax_first_component():
 )
 def test_gradcheck_elementwise_suite(seed, make):
     rng = np.random.default_rng(seed)
-    rep = grad_check(make, rand(rng, 4, 6))
-    assert rep.passed, rep
+    err = grad_check(make, rand(rng, 4, 6))
+    assert err <= 1e-4, err
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
@@ -297,8 +297,8 @@ def test_gradcheck_pairwise_euclidean(seed):
     def f(x):
         return sum_all(pairwise_euclidean(x, y))
 
-    rep = grad_check(f, rand(rng, 4, 3))
-    assert rep.passed, rep
+    err = grad_check(f, rand(rng, 4, 3))
+    assert err <= 1e-4, err
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -310,8 +310,8 @@ def test_gradcheck_pairwise_euclidean_self(seed):
     def f(x):
         return sum_all(matmul(pairwise_euclidean(x, x), Tensor(w)))
 
-    rep = grad_check(f, rand(rng, 5, 3))
-    assert rep.passed, rep
+    err = grad_check(f, rand(rng, 5, 3))
+    assert err <= 1e-4, err
 
 
 def test_pairwise_self_records_one_input_and_matches_copy():
@@ -348,11 +348,11 @@ def test_gradcheck_group_attention(seed, group):
     q, k, v = rand(rng, 6, 3), rand(rng, 6, 3), rand(rng, 6, 2)
     for t in (q, k, v):
         t.requires_grad = True
-    reports = grad_check_params(
+    errors = grad_check_params(
         lambda: sum_all(square(group_attention(q, k, v, group))),
         {"q": q, "k": k, "v": v})
-    for name, rep in reports.items():
-        assert rep.passed and rep.max_rel_err <= 1e-6, (name, rep)
+    for name, err in errors.items():
+        assert err <= 1e-6, (name, err)
 
 
 def test_group_attention_shape_errors():
@@ -380,10 +380,10 @@ def test_gradcheck_nonlocal_block(seed, group):
               "g": rand(rng, 4, 2), "z": rand(rng, 2, 4)}
     for t in leaves.values():
         t.requires_grad = True
-    reports = grad_check_params(
+    errors = grad_check_params(
         lambda: sum_all(square(nonlocal_block(*leaves.values(), group))), leaves)
-    for name, rep in reports.items():
-        assert rep.passed and rep.max_rel_err <= 1e-6, (name, rep)
+    for name, err in errors.items():
+        assert err <= 1e-6, (name, err)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -393,10 +393,10 @@ def test_gradcheck_affine(seed, relu_on):
     leaves = {"x": rand(rng, 5, 4), "w": rand(rng, 4, 3), "b": rand(rng, 1, 3)}
     for t in leaves.values():
         t.requires_grad = True
-    reports = grad_check_params(
+    errors = grad_check_params(
         lambda: sum_all(square(ad.affine(*leaves.values(), relu=relu_on))), leaves)
-    for name, rep in reports.items():
-        assert rep.passed and rep.max_rel_err <= 1e-6, (name, rep)
+    for name, err in errors.items():
+        assert err <= 1e-6, (name, err)
 
 
 def test_affine_shape_errors():
@@ -411,8 +411,8 @@ def test_affine_shape_errors():
 
 
 def test_gradcheck_linear_is_exact():
-    rep = grad_check(sum_all, Tensor(np.array([[1.0, -2.0, 0.5]])))
-    assert rep.max_rel_err <= 1e-9
+    err = grad_check(sum_all, Tensor(np.array([[1.0, -2.0, 0.5]])))
+    assert err <= 1e-9
 
 
 def test_gradcheck_detects_planted_factor_two():
@@ -428,9 +428,9 @@ def test_gradcheck_detects_planted_factor_two():
     def f(x):
         return sum_all(square(bad_double(x)))
 
-    rep = grad_check(f, Tensor(np.array([[1.0, 2.0], [0.5, 1.5]])))
-    assert not rep.passed
-    assert rep.max_rel_err == pytest.approx(1.0, rel=1e-3)
+    err = grad_check(f, Tensor(np.array([[1.0, 2.0], [0.5, 1.5]])))
+    assert err > 1e-4
+    assert err == pytest.approx(1.0, rel=1e-3)
 
 
 def test_grad_check_params_reads_each_output_as_its_scalar_form():
@@ -448,7 +448,7 @@ def test_grad_check_params_reads_each_output_as_its_scalar_form():
     assert list(swept) == ["sq", "lsm", "u"]
     for key in swept:
         assert swept[key] == grad_check_params(lambda: outputs()[key], params)
-    assert swept["sq"]["u"].max_rel_err == 0.0  # outside the output's ancestry
+    assert swept["sq"]["u"] == 0.0  # outside the output's ancestry
 
 
 def test_gradcheck_reports_nonfinite_coordinate():
@@ -669,8 +669,8 @@ def test_gradcheck_triplet_hinge_mean(seed):
     def f(x):
         return ad.triplet_hinge_mean(x, pos, neg, 0.5)
 
-    rep = grad_check(f, Tensor(rng.uniform(0.0, 2.0, (6, 6))))
-    assert rep.passed and rep.max_rel_err <= 1e-6, rep
+    err = grad_check(f, Tensor(rng.uniform(0.0, 2.0, (6, 6))))
+    assert err <= 1e-6, err
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -679,7 +679,7 @@ def test_gradcheck_cross_entropy_mean(seed):
     labels = rng.integers(0, 5, 4)
     x, w = rand(rng, 4, 3), rand(rng, 3, 5)
     x.requires_grad = w.requires_grad = True
-    reports = grad_check_params(lambda: ad.cross_entropy_mean(x, w, labels), {"x": x, "w": w})
-    for rep in reports.values():
-        assert rep.passed and rep.max_rel_err <= 1e-6, rep
+    errors = grad_check_params(lambda: ad.cross_entropy_mean(x, w, labels), {"x": x, "w": w})
+    for err in errors.values():
+        assert err <= 1e-6, err
 

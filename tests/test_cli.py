@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import io
@@ -5,14 +6,14 @@ import json
 import warnings
 from dataclasses import fields, is_dataclass, replace
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from i2vmatch.cli import LOSS_FLAG_FIELDS, RUN_FLAG_FIELDS, _load_config, build_parser, main
-from i2vmatch.training import (RunConfig, benchmark_config, canonical_json, checkpoint_text,
-                               load_checkpoint)
+from i2vmatch.losses import LossConfig
+from i2vmatch.training import (TEACHER_MODES, RunConfig, benchmark_config, canonical_json,
+                               checkpoint_text, load_checkpoint)
 
 from dataset_reader import load_dataset
 
@@ -214,9 +215,22 @@ def assert_one_error_line(capsys) -> str:
 
 
 def test_config_flags_are_the_scalar_fields():
-    args = build_parser().parse_args(["train", "--out-dir", "run"])
+    parser = build_parser()
+    args = parser.parse_args(["train", "--out-dir", "run"])
     assert len(FLAG_NAMES) == 17
-    assert set(vars(args)) - {"command", "config", "out_dir"} == set(FLAG_NAMES)
+    assert set(vars(args)) - {"command", "config", "out_dir", "run"} == set(FLAG_NAMES)
+    # each flag takes its field's declared type; a bool field is a switch
+    declared = {f.name: f.type for kind in (LossConfig, RunConfig) for f in fields(kind)}
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for command in ("synth", "train", "sweep"):
+        actions = {a.dest: a for a in commands.choices[command]._actions}
+        for name in FLAG_NAMES:
+            action = actions[name]
+            if declared[name] == "bool":
+                assert (action.nargs, action.const, action.default) == (0, True, None), name
+            else:
+                assert (action.type or str).__name__ == declared[name], name
+        assert actions["teacher_mode"].choices == TEACHER_MODES
 
 
 @pytest.mark.parametrize("name", FLAG_NAMES)
@@ -798,18 +812,35 @@ def test_train_non_finite_update_exits_2_without_a_run_dir(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_eval_of_overflowed_features_exits_2(tmp_path, capsys):
-    # a learning rate of 1e300 leaves finite parameters whose features overflow
-    run_dir = tmp_path / "run"
-    assert main(["train", "--learning-rate", "1e300", "--epochs", "1",
-                 "--batches-per-epoch", "1", "--out-dir", str(run_dir)]) == 0
-    capsys.readouterr()
-    with np.errstate(over="ignore", invalid="ignore"):
-        code = main(["eval", "--checkpoint", str(run_dir / "checkpoint.txt"),
-                     "--protocol", "I2V"])
-    assert code == 2
+@pytest.fixture(scope="module")
+def overflowing_checkpoint(tmp_path_factory):
+    # one batch at a learning rate of 1e300 leaves finite parameters whose
+    # features overflow
+    run_dir = tmp_path_factory.mktemp("overflow") / "run"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["train", "--learning-rate", "1e300", "--epochs", "1",
+                     "--batches-per-epoch", "1", "--out-dir", str(run_dir)]) == 0
+    return run_dir / "checkpoint.txt"
+
+
+@pytest.mark.parametrize("argv,names", [
+    (["train", "--learning-rate", "1e300", "--epochs", "1", "--batches-per-epoch", "2",
+      "--out-dir", "{dir}/run"], "at epoch 0 batch 1; clip provenance: "),
+    (["eval", "--checkpoint", "{ckpt}", "--protocol", "I2V"], "query image features: "),
+    (["eval", "--checkpoint", "{ckpt}", "--protocol", "I2I"], "query image features: "),
+    (["eval", "--checkpoint", "{ckpt}", "--protocol", "V2V"], "query video features: "),
+    (["export-features", "--checkpoint", "{ckpt}", "--out", "{dir}/f.txt"],
+     "query image features: "),
+], ids=["train", "eval-I2V", "eval-I2I", "eval-V2V", "export-features"])
+def test_numpy_floating_point_error_exits_2_in_one_line(tmp_path, capsys, overflowing_checkpoint,
+                                                         argv, names):
+    argv = [a.format(dir=tmp_path, ckpt=overflowing_checkpoint) for a in argv]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 2
     err = assert_one_error_line(capsys)
-    assert err == "numerical failure: features must be finite\n"
+    assert err.startswith("numerical failure: ") and names in err
+    assert "encountered in" in err
 
 
 @pytest.mark.parametrize("nested", [False, True], ids=["file", "under_file"])

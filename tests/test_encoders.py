@@ -74,12 +74,12 @@ def test_trunk_gradients_match_finite_differences(seed):
     params = small_params(seed=seed)
     rng = np.random.default_rng(seed + 10)
     frame = rng.standard_normal((1, 5))
-    reports = ad.grad_check_params(
+    errors = ad.grad_check_params(
         lambda: sum_all(square(encode_image(frame, params))),
         params.image_parameters(),
     )
-    for name, rep in reports.items():
-        assert rep.passed, (name, rep)
+    for name, err in errors.items():
+        assert err <= 1e-4, (name, err)
 
 
 # ---------------------------------------------------------------------------
@@ -132,13 +132,13 @@ def test_nonlocal_gradients_match_finite_differences(seed):
     rng = np.random.default_rng(seed + 20)
     x0 = rng.standard_normal((4, 6))
     weights = {"theta": blk.w_theta, "phi": blk.w_phi, "g": blk.w_g, "z": blk.w_z}
-    reports = ad.grad_check_params(
+    errors = ad.grad_check_params(
         lambda: sum_all(square(nonlocal_forward(Tensor(x0), blk))), weights)
-    for name, rep in reports.items():
-        assert rep.passed, (name, rep)
+    for name, err in errors.items():
+        assert err <= 1e-4, (name, err)
 
-    rep = grad_check(lambda x: sum_all(square(nonlocal_forward(x, blk))), Tensor(x0))
-    assert rep.passed, rep
+    err = grad_check(lambda x: sum_all(square(nonlocal_forward(x, blk))), Tensor(x0))
+    assert err <= 1e-4, err
 
 
 # ---------------------------------------------------------------------------

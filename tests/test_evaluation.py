@@ -379,7 +379,7 @@ def test_untrained_encoder_near_chance_level():
                                  num_blocks=1, seed=17)
     rep = run_protocol("I2V", ds, params, clip_len=8, k_max=10)
     # label-permutation null: shuffle gallery identities, recompute mAP
-    queries = build_index("image", ds.query, params)
+    queries = build_index("image", ds.query, params, clip_len=8)
     gallery = extract_gallery_features(ds.gallery, params, clip_len=8)
     rankings = rank_queries(queries.features, gallery)
     q_ids = queries.identities
@@ -450,6 +450,20 @@ def test_evaluate_matches_separate_protocol_runs(protocols):
         assert report.to_dict() == alone.to_dict()
 
 
+def test_evaluate_names_the_side_or_protocol_of_a_floating_point_error(monkeypatch):
+    ds, params = multi_camera_cohort()
+
+    def overflow(*args):
+        raise FloatingPointError("overflow encountered in matmul")
+
+    monkeypatch.setattr(evaluation, "rank_queries", overflow)
+    with pytest.raises(NonFiniteError, match="^V2V distances: overflow encountered in matmul$"):
+        evaluate(ds, params, ("V2V",), clip_len=8, k_max=4)
+    monkeypatch.setattr(evaluation, "extract_gallery_features", overflow)
+    with pytest.raises(NonFiniteError, match="^query video features: overflow encountered in"):
+        evaluate(ds, params, ("V2V",), clip_len=8, k_max=4)  # before any ranking
+
+
 @pytest.mark.parametrize("protocols", [("X2X",), ("I2V", "i2v"), ("I2V", "V2V", "V2I")])
 def test_evaluate_rejects_unknown_protocol_before_encoding(monkeypatch, protocols):
     def no_side(*args, **kwargs):
@@ -457,4 +471,4 @@ def test_evaluate_rejects_unknown_protocol_before_encoding(monkeypatch, protocol
 
     monkeypatch.setattr(evaluation, "build_index", no_side)
     with pytest.raises(ValueError, match="unknown protocol"):
-        evaluate(*multi_camera_cohort(), protocols)
+        evaluate(*multi_camera_cohort(), protocols, clip_len=8, k_max=4)

@@ -369,10 +369,10 @@ def micro_setup(seed, bp_to_video=False):
 def test_total_loss_gradients_match_finite_differences(seed):
     params, cls, clips, labels, c = micro_setup(seed, bp_to_video=True)
     everything = {**params.named_parameters(), **cls.named_parameters()}
-    reports = grad_check_params(
+    errors = grad_check_params(
         lambda: sum_terms(loss_terms(encoded_bf(params, clips, labels), cls, c)), everything)
-    for name, rep in reports.items():
-        assert rep.passed, (name, rep)
+    for name, err in errors.items():
+        assert err <= 1e-4, (name, err)
 
 
 @pytest.mark.parametrize("seed", [0, 1])

@@ -2,7 +2,8 @@ import json
 import math
 import resource
 import warnings
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
+from typing import get_type_hints
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from i2vmatch.encoders import TrunkConfig, encode_clip_batch, init_encoder_param
 from i2vmatch.evaluation import PROTOCOLS
 from i2vmatch.losses import BatchFeatures, ClassifierParams, LossConfig, loss_terms, sum_terms
 from i2vmatch.training import (
+    SECTIONS,
     Adam,
     RunConfig,
     _video_phase_terms,
@@ -540,6 +542,28 @@ def test_gradcheck_suite_sweeps_each_micro_instance_once(monkeypatch):
     gradcheck_suite(scope="all", seeds=(0, 1), extended=True)
     # one analytic forward pass, then two evaluations per coordinate
     assert counts == [1 + 2 * n_coords] * 2
+
+
+@pytest.mark.parametrize("at", [0, -1], ids=["first", "last"])
+def test_gradcheck_suite_fails_a_check_whose_error_reads_nan(monkeypatch, at):
+    # max over the errors keeps whichever of a NaN and a 0 comes first; the
+    # verdict must not depend on that order
+    checks = training.LOSS_CHECKS + training.EXTENDED_LOSS_CHECKS + training.ENCODER_CHECKS
+
+    def errors(loss_fn, params):
+        nan_at = list(params)[at]
+        return {c: {p: math.nan if p == nan_at else 0.0 for p in params} for c in checks}
+
+    monkeypatch.setattr(training, "grad_check_params", errors)
+    outcomes = gradcheck_suite(scope="all", seeds=(0,), extended=True)
+    assert [o.name for o in outcomes] == list(checks)
+    assert not any(o.passed for o in outcomes)
+
+
+def test_sections_are_the_dataclass_fields_of_run_config():
+    hints = get_type_hints(RunConfig)
+    assert SECTIONS == {f.name: hints[f.name] for f in fields(RunConfig)
+                        if is_dataclass(hints[f.name])}
 
 
 def test_gradcheck_checks_every_loss_term():
