@@ -11,13 +11,14 @@ bitwise-identical runs. Shapes are plain numpy shapes; primitives accept
 the ranks they document and raise :class:`ShapeError` otherwise.
 
 Tape entries are few and fat: ``affine`` (matmul, bias, relu),
-``nonlocal_block`` (projections, block attention, output projection,
-residual), ``add_n``, ``scaled_sq_diff``, the mined triplet hinge and the
-mean cross entropy of ``x @ w`` each stand for a chain of primitives, with
-a backward rule that keeps the chain's arithmetic bit for bit; a
-``benchmark_config()`` step records 22. ``grad_check_params`` is the one
-finite-difference check: central differences of half-width ``FD_STEP``,
-one sweep of the coordinates for all the outputs of a dict-valued function.
+``nonlocal_block`` (projections, key-major block attention normalised in
+the value product, output projection, residual), ``add_n``,
+``scaled_sq_diff``, the mined triplet hinge and the mean cross entropy of
+``x @ w`` each stand for a chain of primitives, value and gradients that
+chain's bit for bit; a ``benchmark_config()`` step records 22.
+``grad_check_params`` is the one finite-difference check: central
+differences of half-width ``FD_STEP``, one sweep of the coordinates for
+all the outputs of a dict-valued function.
 """
 
 from __future__ import annotations
@@ -161,19 +162,19 @@ def add_n(terms: list[Tensor]) -> Tensor:
 def affine(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
     """``x @ w + b`` for an m*k x, k*n w and 1*n b, clamped by ``relu`` to
     where(z > 0, z, 0): one tape entry with the matmul, add, relu chain's
-    arithmetic. The input gradient is skipped when x needs none."""
+    arithmetic. The input gradient is skipped when x needs none; the relu
+    mask is read off the output, as ``out > 0`` is ``z > 0`` bit for bit."""
     xd, wd, bd = _as2d(x, "affine"), _as2d(w, "affine"), b.data
     if xd.shape[1] != wd.shape[0] or bd.shape != (1, wd.shape[1]):
         raise ShapeError(f"affine operands disagree: x {xd.shape}, w {wd.shape}, b {bd.shape}")
     z = xd @ wd
     z += bd
     if relu:
-        mask = z > 0
         _relu_in_place(z)
 
     def bw(g):
         if relu:
-            g = g * mask
+            g = g * (z > 0)
         return (g @ wd.T if x.requires_grad else None), xd.T @ g, g.sum(axis=0, keepdims=True)
 
     return _record(Tensor(z), (x, w, b), bw)
@@ -214,8 +215,8 @@ def nonlocal_block(x: Tensor, w_theta: Tensor, w_phi: Tensor, w_g: Tensor, w_z: 
     """Residual attention ``x + A(x w_theta, x w_phi, x w_g) w_z`` within
     consecutive blocks of ``group`` rows (all rows when None): row i of
     A(q, k, v) is sum_j softmax_j(q_i . k_j) v_j over the rows j of i's block.
-    One tape entry for three projection matmuls, block attention, output
-    matmul and residual add; value and gradients are the chain's bit for bit."""
+    One tape entry. The scores are key-major, and the value product with a
+    ones column also sums each query's weights, so one divide ends the softmax."""
     xd = _as2d(x, "nonlocal_block")
     wt, wp, wg, wz = (w.data for w in (w_theta, w_phi, w_g, w_z))
     (m, c), d, e = xd.shape, wt.shape[-1], wg.shape[-1]
@@ -228,22 +229,28 @@ def nonlocal_block(x: Tensor, w_theta: Tensor, w_phi: Tensor, w_g: Tensor, w_z: 
     n = m // group
     q3 = (xd @ wt).reshape(n, group, d)
     k3 = (xd @ wp).reshape(n, group, d)
-    v3 = (xd @ wg).reshape(n, group, e)
-    att = q3 @ k3.transpose(0, 2, 1)  # softmax in place: no block-sized temporaries
-    att -= att.max(axis=2, keepdims=True)
-    np.exp(att, out=att)
-    att /= att.sum(axis=2, keepdims=True)
-    mixed = (att @ v3).reshape(m, e)
+    v1 = np.empty((n, group, e + 1))  # the values and a ones column
+    v1[..., e] = 1.0
+    np.matmul(xd, wg, out=v1.reshape(m, e + 1)[:, :e])
+    # scores (n, key, query) stored key-outermost, so that the max over keys
+    # and its subtraction run along whole contiguous rows
+    ex = np.empty((group, n, group)).transpose(1, 0, 2)
+    np.matmul(k3, np.ascontiguousarray(q3.transpose(0, 2, 1)), out=ex)
+    ex -= ex.max(axis=1, keepdims=True)
+    np.exp(ex, out=ex)
+    num = ex.transpose(0, 2, 1) @ v1  # last column: the normaliser, >= exp(0)
+    mixed = (num[..., :e] / num[..., e:]).reshape(m, e)
     out = mixed @ wz
     out += xd
 
     def bw(g):
+        att = ex / num[..., e:].transpose(0, 2, 1)  # ex's layout, and g_att's
         g3 = (g @ wz.T).reshape(n, group, e)
-        g_att = g3 @ v3.transpose(0, 2, 1)
-        g_logits = att * (g_att - (g_att * att).sum(axis=2, keepdims=True))
-        g_q = (g_logits @ k3).reshape(m, d)
-        g_k = (g_logits.transpose(0, 2, 1) @ q3).reshape(m, d)
-        g_v = (att.transpose(0, 2, 1) @ g3).reshape(m, e)
+        g_att = np.matmul(v1[..., :e], g3.transpose(0, 2, 1), out=np.empty_like(att))
+        g_logits = att * (g_att - (g_att * att).sum(axis=1, keepdims=True))
+        g_q = (g_logits.transpose(0, 2, 1) @ k3).reshape(m, d)
+        g_k = (g_logits @ q3).reshape(m, d)
+        g_v = (att @ g3).reshape(m, e)
         gx = None
         if x.requires_grad:  # summed in the order the chain's backward adds
             gx = g + g_v @ wg.T
@@ -259,8 +266,8 @@ def pairwise_euclidean(x: Tensor, y: Tensor) -> Tensor:
 
     Entry (i, j) is sqrt(max(|x_i|^2 + |y_j|^2 - 2 x_i.y_j, 0) + eps); the
     epsilon keeps the gradient finite for coincident pairs. With ``y is x``
-    the tape records one input, and backward folds both sides into one
-    product with the symmetrized weights.
+    the tape records one input, and backward adds the products of both
+    sides of the weights, ``w @ x + w.T @ x``.
     """
     xd, yd = _as2d(x, "pairwise_euclidean"), _as2d(y, "pairwise_euclidean")
     if xd.shape[1] != yd.shape[1]:
@@ -271,7 +278,7 @@ def pairwise_euclidean(x: Tensor, y: Tensor) -> Tensor:
     nx = (xd * xd).sum(axis=1)
     ny = nx if y is x else (yd * yd).sum(axis=1)
     d = nx[:, None] + ny[None, :]
-    xy = xd @ yd.T
+    xy = xd @ np.ascontiguousarray(yd.T)  # GEMM: numpy runs x @ x.T as SYRK
     xy *= 2.0
     d -= xy
     active = d > 0
@@ -283,9 +290,9 @@ def pairwise_euclidean(x: Tensor, y: Tensor) -> Tensor:
     def bw(g):
         w = np.zeros_like(d)
         np.divide(g, d, out=w, where=active)
-        if y is x:
-            w = w + w.T
-            return (w.sum(axis=1)[:, None] * xd - w @ xd,)
+        if y is x:  # both sides of w at once, without forming w + w.T
+            s = w.sum(axis=1) + w.sum(axis=0)
+            return (s[:, None] * xd - (w @ xd + w.T @ xd),)
         gx = w.sum(axis=1)[:, None] * xd - w @ yd
         gy = w.sum(axis=0)[:, None] * yd - w.T @ xd
         return gx, gy

@@ -107,13 +107,15 @@ def extract_gallery_features(videos: list[VideoRecord], params: EncoderParams,
 def rank_queries(query_feats: np.ndarray, gallery: GalleryIndex) -> np.ndarray:
     """Per query, gallery indices sorted by ascending Euclidean distance.
 
-    Distances come from :func:`~i2vmatch.autodiff.pairwise_euclidean`; its
-    1e-12 under the root is monotone and only the order is used. Ties break
-    by gallery index order (stable sort), so rankings are deterministic and
-    reproducible.
+    Distances come from :func:`~i2vmatch.autodiff.pairwise_euclidean` (its
+    1e-12 under the root keeps their order). Rows are quicksorted, and those
+    holding an exact tie (or a NaN) sorted again stably: ties go by index.
     """
     d = pairwise_euclidean(Tensor(query_feats), Tensor(gallery.features)).data
-    return np.argsort(d, axis=1, kind="stable")
+    order = np.argsort(d, axis=1)
+    tied = ~(np.diff(np.take_along_axis(d, order, axis=1)) > 0).all(axis=1)
+    order[tied] = np.argsort(d[tied], axis=1, kind="stable")
+    return order
 
 
 def hit_matrix(rankings: np.ndarray, query_ids, gallery_ids) -> np.ndarray:

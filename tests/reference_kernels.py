@@ -3,7 +3,9 @@
 The training-step kernels appear as they were before they were fused or
 rewritten in place: ``affine`` as the matmul, add, relu chain,
 ``nonlocal_block`` as three projection matmuls, ``group_attention`` with
-its out-of-place softmax, the output matmul and the residual add,
+its out-of-place key-major softmax normalised through the value product,
+the output matmul and the residual add, ``pairwise_euclidean`` out of
+place with the same GEMM and self-form backward as the package's,
 ``add_n`` as a chain of adds, ``scaled_sq_diff`` as the sub,
 frobenius_sq, scale chain and ``cross_entropy_mean`` as the logits matmul
 followed by the log_softmax_rows, gather, mean_all, scale(-1) chain. The
@@ -17,7 +19,8 @@ here too: ``matmul``, ``add``, ``sub``, ``relu``, ``shift``, ``scale``,
 ``frobenius_sq``, ``mean_all``, ``gather`` and ``log_softmax_rows``,
 which build the unfused chains, ``transpose``, ``square`` and
 ``sum_all``, which build scalar test objectives, and ``softmax_rows``,
-the plain row softmax that ``group_attention`` is checked against.
+the plain row softmax that ``group_attention`` and ``nonlocal_block`` are
+checked against within bounds.
 ``grad_check`` is the one-tensor form of ``grad_check_params`` that the
 primitive gradient tests call, and ``gradcheck_suite`` is the gradient
 suite as it ran before one sweep checked every output: one objective and
@@ -165,23 +168,27 @@ def softmax_rows(a: Tensor) -> Tensor:
 
 
 def group_attention(q: Tensor, k: Tensor, v: Tensor, group: int) -> Tensor:
-    """Block softmax attention with an out-of-place softmax."""
+    """Block softmax attention, out of place: key-major scores, exponentiated
+    against each query's max, summed over keys by a ones column appended to
+    the values, and divided once after the value product."""
     qd, kd, vd = q.data, k.data, v.data
     (m, d), e = qd.shape, vd.shape[1]
     n = m // group
     q3, k3, v3 = qd.reshape(n, group, d), kd.reshape(n, group, d), vd.reshape(n, group, e)
-    logits = q3 @ k3.transpose(0, 2, 1)
-    ex = np.exp(logits - logits.max(axis=2, keepdims=True))
-    att = ex / ex.sum(axis=2, keepdims=True)
-    out = Tensor((att @ v3).reshape(m, e))
+    logits = k3 @ q3.transpose(0, 2, 1)  # (n, key, query)
+    ex = np.exp(logits - logits.max(axis=1, keepdims=True))
+    num = ex.transpose(0, 2, 1) @ np.concatenate([v3, np.ones((n, group, 1))], axis=2)
+    norm = num[..., e:]
+    out = Tensor((num[..., :e] / norm).reshape(m, e))
 
     def bw(g):
+        att = ex / norm.transpose(0, 2, 1)
         g3 = g.reshape(n, group, e)
-        g_att = g3 @ v3.transpose(0, 2, 1)
-        g_logits = att * (g_att - (g_att * att).sum(axis=2, keepdims=True))
-        return ((g_logits @ k3).reshape(m, d),
-                (g_logits.transpose(0, 2, 1) @ q3).reshape(m, d),
-                (att.transpose(0, 2, 1) @ g3).reshape(m, e))
+        g_att = v3 @ g3.transpose(0, 2, 1)
+        g_logits = att * (g_att - (g_att * att).sum(axis=1, keepdims=True))
+        return ((g_logits.transpose(0, 2, 1) @ k3).reshape(m, d),
+                (g_logits @ q3).reshape(m, d),
+                (att @ g3).reshape(m, e))
 
     return ad._record(out, (q, k, v), bw)
 
@@ -240,7 +247,7 @@ def pairwise_euclidean(x: Tensor, y: Tensor) -> Tensor:
     sq = (
         (xd * xd).sum(axis=1)[:, None]
         + (yd * yd).sum(axis=1)[None, :]
-        - 2.0 * (xd @ yd.T)
+        - 2.0 * (xd @ np.ascontiguousarray(yd.T))
     )
     active = sq > 0
     d = np.sqrt(np.where(active, sq, 0.0) + ad.DISTANCE_EPS)
@@ -248,8 +255,8 @@ def pairwise_euclidean(x: Tensor, y: Tensor) -> Tensor:
     def bw(g):
         w = np.where(active, g / d, 0.0)
         if y is x:
-            w = w + w.T
-            return (w.sum(axis=1)[:, None] * xd - w @ xd,)
+            s = w.sum(axis=1) + w.sum(axis=0)
+            return (s[:, None] * xd - (w @ xd + w.T @ xd),)
         gx = w.sum(axis=1)[:, None] * xd - w @ yd
         gy = w.sum(axis=0)[:, None] * yd - w.T @ xd
         return gx, gy

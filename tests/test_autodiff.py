@@ -618,6 +618,42 @@ def test_nonlocal_block_matches_unfused_chain(rows, group, x_grad):
                       grads, upstream=-0.7)
 
 
+def _softmax_rows_block(x, w_theta, w_phi, w_g, w_z):
+    """An all-rows block as the plain chain: softmax_rows of the scores."""
+    att = softmax_rows(matmul(matmul(x, w_theta), transpose(matmul(x, w_phi))))
+    return ref.add(matmul(matmul(att, matmul(x, w_g)), w_z), x)
+
+
+@pytest.mark.parametrize("rows", [4, 32])
+@pytest.mark.parametrize("scale", [1.0, 30.0], ids=["unit", "peaked"])
+def test_nonlocal_block_is_near_the_softmax_rows_chain(rows, scale):
+    # normalising through the value product moves the last bits only: values
+    # within 1e-14 and gradients within 1e-12 of each tensor's largest entry
+    rng = np.random.default_rng(30 + rows)
+    leaves = _nonlocal_leaves(rng, rows, 8, 5, scale)
+    w = Tensor(rng.standard_normal((8, 3)))
+    got, want = nonlocal_block(*leaves).data, _softmax_rows_block(*leaves).data
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    got_grads, want_grads = (_value_and_grads(lambda: sum_all(matmul(block(*leaves), w)),
+                                              leaves, 1.0)[1]
+                             for block in (nonlocal_block, _softmax_rows_block))
+    for g, h in zip(got_grads, want_grads):
+        assert np.abs(g - h).max() <= 1e-12 * np.abs(h).max()
+
+
+@pytest.mark.parametrize("scale", [30.0, 1e3])
+def test_nonlocal_block_raises_no_floating_point_error_at_peaked_logits(scale):
+    # each query's normaliser holds exp(0) from its max key, so it is >= 1 and
+    # the divide never meets 0, however far the other weights underflow
+    rng = np.random.default_rng(31)
+    leaves = _nonlocal_leaves(rng, 96, 8, 5, scale)
+    w = Tensor(rng.standard_normal((8, 3)))
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        value, grads = _value_and_grads(
+            lambda: sum_all(matmul(nonlocal_block(*leaves, 32), w)), leaves, 1.0)
+    assert np.isfinite(value).all() and all(np.isfinite(g).all() for g in grads)
+
+
 @pytest.mark.parametrize("shape", [(256, 20, 24), (256, 24, 16), (3, 2, 4)],
                          ids=["t16-first", "t16-last", "small"])
 @pytest.mark.parametrize("relu_on", [True, False], ids=["relu", "linear"])

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from i2vmatch import evaluation
-from i2vmatch.autodiff import NonFiniteError, ShapeError
+from i2vmatch.autodiff import NonFiniteError, ShapeError, Tensor, pairwise_euclidean
 from i2vmatch.data import SyntheticConfig, SyntheticDataset, VideoRecord, generate_dataset
 from i2vmatch.encoders import TrunkConfig, encode_video, init_encoder_params
 from i2vmatch.evaluation import (
@@ -170,6 +170,34 @@ def test_rank_queries_ties_break_by_index():
     g = gallery_of([[1.0, 0.0], [-1.0, 0.0], [1.0, 0.0]], [0, 1, 2])
     order = rank_queries(np.array([[0.0, 0.0]]), g)[0]
     np.testing.assert_array_equal(order, [0, 1, 2])
+
+
+def _planted_ties(rng, form):
+    """Queries and gallery features of 200 items holding exact distance ties:
+    with "duplicates" rows 100-149 repeat rows 50-99, so every query ties;
+    with "equidistant" query 0 lies 3 away from six items on integer
+    coordinates, every square exact, and the random queries tie nowhere."""
+    q, gf = rng.standard_normal((6, 16)), rng.standard_normal((200, 16))
+    if form == "duplicates":
+        gf[100:150] = gf[50:100]
+    else:
+        q[0] = 0.0
+        q[0, :2] = [1.0, 2.0]
+        for slot, axis, step in [(7, 0, 3.0), (40, 3, -3.0), (41, 0, -3.0), (120, 9, 3.0),
+                                 (180, 15, 3.0), (199, 3, 3.0)]:
+            gf[slot] = q[0]
+            gf[slot, axis] += step
+    return q, gf
+
+
+@pytest.mark.parametrize("form", ["duplicates", "equidistant"])
+def test_rank_queries_equals_the_stable_sort_with_planted_ties(form):
+    q, gf = _planted_ties(np.random.default_rng(9), form)
+    d = pairwise_euclidean(Tensor(q), Tensor(gf)).data
+    tied = np.array([len(np.unique(row)) < len(row) for row in d])
+    assert tied.tolist() == ([True] * 6 if form == "duplicates" else [True] + [False] * 5)
+    np.testing.assert_array_equal(rank_queries(q, gallery_of(gf, np.arange(200))),
+                                  np.argsort(d, axis=1, kind="stable"))
 
 
 def test_rank_queries_is_permutation():
