@@ -58,10 +58,11 @@ from pathlib import Path
 
 import numpy as np
 
-from i2vmatch import cli, evaluation
+from i2vmatch import cli
 from i2vmatch.data import VideoRecord, generate_dataset
-from i2vmatch.evaluation import (PROTOCOLS, build_index, hit_matrix, mean_average_precision,
-                                 run_protocol)
+from i2vmatch.evaluation import (PROTOCOL_SIDES, PROTOCOLS, build_side, evaluate,
+                                 extract_gallery_features, hit_matrix, mean_average_precision,
+                                 rank_queries)
 from i2vmatch.losses import LossConfig
 from i2vmatch.training import (benchmark_config, checkpoint_text, gradcheck_suite,
                                 save_checkpoint, train)
@@ -113,25 +114,15 @@ def _cli(*argv: str) -> None:
 def _multi_relevant_digests(result) -> dict[str, str]:
     cfg = result.config
     dataset = generate_dataset(replace(cfg.synth, cameras_per_identity=12))
-    query_ids = [v.identity for v in dataset.query]
-    rank_queries, ranked = evaluation.rank_queries, []
-
-    def capture(query_feats, gallery):
-        ranked.append((rank_queries(query_feats, gallery), gallery.identities))
-        return ranked[-1][0]
-
+    reports = evaluate(dataset, result.encoder, clip_len=cfg.eval_clip_len, k_max=cfg.k_max)
     digests = {}
-    evaluation.rank_queries = capture
-    try:
-        for protocol in PROTOCOLS:
-            report = run_protocol(protocol, dataset, result.encoder,
-                                  clip_len=cfg.eval_clip_len, k_max=cfg.k_max)
-            rankings, gallery_ids = ranked[-1]
-            hits = hit_matrix(rankings, query_ids, gallery_ids)
-            aps = [mean_average_precision(hits[i:i + 1]) for i in range(len(query_ids))]
-            digests[f"eval.multi.{protocol}"] = _sha256(json.dumps([report.to_dict(), aps]))
-    finally:
-        evaluation.rank_queries = rank_queries
+    for protocol, report in reports.items():
+        queries, gallery = (build_side(dataset, split, kind, result.encoder, cfg.eval_clip_len)
+                            for split, kind in zip(("query", "gallery"), PROTOCOL_SIDES[protocol]))
+        hits = hit_matrix(rank_queries(queries.features, gallery), queries.identities,
+                          gallery.identities)
+        aps = [mean_average_precision(hits[i:i + 1]) for i in range(len(hits))]
+        digests[f"eval.multi.{protocol}"] = _sha256(json.dumps([report.to_dict(), aps]))
     return digests
 
 
@@ -140,7 +131,7 @@ def _clip_cohort_digest(result) -> str:
     videos = [VideoRecord(v.identity, v.camera, v.frames[:n])
               for v, n in zip(dataset.query + dataset.gallery,
                               itertools.cycle(CLIP_COHORT_LENGTHS))]
-    index = build_index("video", videos, result.encoder, CLIP_COHORT_CLIP_LEN)
+    index = extract_gallery_features(videos, result.encoder, CLIP_COHORT_CLIP_LEN)
     return _sha256(index.features.tobytes())
 
 

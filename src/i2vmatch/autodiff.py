@@ -23,6 +23,8 @@ all the outputs of a dict-valued function.
 
 from __future__ import annotations
 
+import ctypes
+
 import numpy as np
 
 # epsilon added under the square root of pairwise distances so the
@@ -93,6 +95,24 @@ class no_grad:
         return False
 
 
+def keep_heap() -> bool:
+    """Have glibc keep freed memory for reuse; False where libc has no
+    ``mallopt``. Else large temporaries, such as a step's distance matrices
+    or a block's scores, go back to the kernel when freed and are faulted in
+    afresh on the next call. The thresholds are process-wide and stay set:
+    the process keeps up to 64 MiB of freed heap for the rest of its life."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return False
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    # both, as fixing only one threshold stops glibc adjusting the other,
+    # which faults more than leaving both alone
+    mmap_ok = mallopt(-3, 4 << 20)  # M_MMAP_THRESHOLD: blocks under 4 MiB from the heap
+    trim_ok = mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD: keep up to 64 MiB free on top
+    return mmap_ok == trim_ok == 1
+
+
 class Tensor:
     """Dense float64 array, optionally participating in differentiation.
 
@@ -148,15 +168,16 @@ def _relu_in_place(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def add_n(terms: list[Tensor]) -> Tensor:
-    """Left-to-right sum of equal-shape tensors as one tape entry; every
-    input's gradient is the output's."""
+def add_n(terms) -> Tensor:
+    """Left-to-right sum of an iterable of equal-shape tensors as one tape
+    entry; every input's gradient is the output's."""
+    terms = tuple(terms)
     total = terms[0].data.copy()
     for t in terms[1:]:
         if t.data.shape != total.shape:
             raise ShapeError(f"add_n shapes disagree: {total.shape} vs {t.data.shape}")
         total += t.data
-    return _record(Tensor(total), tuple(terms), lambda g: (g,) * len(terms))
+    return _record(Tensor(total), terms, lambda g: (g,) * len(terms))
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:

@@ -30,7 +30,6 @@ from .training import (
     evaluate_result,
     gradcheck_suite,
     load_checkpoint,
-    parse_json,
     report_document,
     save_checkpoint,
     sweep,
@@ -60,7 +59,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _load_config(args) -> RunConfig:
     if args.config:
-        cfg = RunConfig.from_dict(parse_json(Path(args.config).read_text()))
+        cfg = RunConfig.from_json(Path(args.config).read_text())
     else:
         cfg = benchmark_config()
     loss = {name: getattr(args, name) for name in LOSS_FLAG_FIELDS
@@ -159,7 +158,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     result = load_checkpoint(args.checkpoint)
     if args.config:
-        supplied = RunConfig.from_dict(parse_json(Path(args.config).read_text()))
+        supplied = RunConfig.from_json(Path(args.config).read_text())
         if config_digest(supplied) != config_digest(result.config):
             raise ValueError("config digest mismatch between checkpoint and supplied config")
     report = evaluate_result(result, (args.protocol,))[args.protocol]

@@ -59,7 +59,7 @@ class TrunkConfig:
 
     @property
     def positions_per_frame(self) -> int:
-        return self.grid_hw[0] * self.grid_hw[1] if self.use_spatial_grid else 1
+        return self.grid_hw[0] * self.grid_hw[1]
 
     @property
     def frame_vector_len(self) -> int:

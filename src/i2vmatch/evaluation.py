@@ -12,11 +12,12 @@ tie-breaking, scored with CMC top-k curves and mean average precision.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .autodiff import NonFiniteError, Tensor, no_grad, pairwise_euclidean
+from .autodiff import NonFiniteError, Tensor, keep_heap, no_grad, pairwise_euclidean
 from .data import SyntheticDataset, VideoRecord
 from .encoders import EncoderParams, encode_image, encode_video
 
@@ -153,23 +154,19 @@ def mean_average_precision(hits: np.ndarray) -> float:
     return float(np.mean(ap))
 
 
-def build_index(kind: str, videos: list[VideoRecord], params: EncoderParams,
-                clip_len: int) -> GalleryIndex:
-    """Features of one protocol side: ``"image"`` encodes each video's first
-    frame with the image network, ``"video"`` the whole video with the video
-    network (see :func:`extract_gallery_features`)."""
-    if kind == "video":
-        return extract_gallery_features(videos, params, clip_len)
-    with no_grad():
-        feats = encode_image(np.stack([v.frames[0] for v in videos]), params).data
-    return GalleryIndex(feats, [v.identity for v in videos], [v.camera for v in videos])
-
-
 def build_side(dataset: SyntheticDataset, split: str, kind: str, params: EncoderParams,
                clip_len: int) -> GalleryIndex:
-    """:func:`build_index` of one split; numpy's floating-point errors name the side."""
+    """Features of one protocol side of a split: ``"image"`` encodes each
+    video's first frame with the image network, ``"video"`` the whole video
+    with the video network (see :func:`extract_gallery_features`). numpy's
+    floating-point errors name the side."""
+    videos = getattr(dataset, split)
     try:
-        return build_index(kind, getattr(dataset, split), params, clip_len)
+        if kind == "video":
+            return extract_gallery_features(videos, params, clip_len)
+        with no_grad():
+            feats = encode_image(np.stack([v.frames[0] for v in videos]), params).data
+        return GalleryIndex(feats, [v.identity for v in videos], [v.camera for v in videos])
     except FloatingPointError as exc:
         raise NonFiniteError(f"{split} {kind} features: {exc}") from None
 
@@ -185,13 +182,9 @@ def evaluate(dataset: SyntheticDataset, params: EncoderParams, protocols=PROTOCO
     unknown = [p for p in protocols if p not in PROTOCOL_SIDES]
     if unknown:
         raise ValueError(f"unknown protocol {unknown[0]!r}; expected one of {PROTOCOLS}")
-    sides: dict[tuple[str, str], GalleryIndex] = {}
-
-    def side(kind: str, split: str) -> GalleryIndex:
-        if (kind, split) not in sides:
-            sides[kind, split] = build_side(dataset, split, kind, params, clip_len)
-        return sides[kind, split]
-
+    keep_heap()
+    side = functools.cache(lambda kind, split: build_side(dataset, split, kind, params,
+                                                          clip_len))
     reports = {}
     for protocol in protocols:
         query_kind, gallery_kind = PROTOCOL_SIDES[protocol]

@@ -199,12 +199,6 @@ def batch_hard_triplet(
     return _hardest_triplet(pairwise_euclidean(anchors, candidates), masks, margin)
 
 
-def sum_terms(terms: dict[str, Tensor]) -> Tensor:
-    """Sum of the terms, left to right in dict order, as one tape entry; 0
-    when there are none."""
-    return add_n(list(terms.values())) if terms else Tensor(0.0)
-
-
 def classification_loss(bf: BatchFeatures, cls: ClassifierParams) -> Tensor:
     """Cross entropy of both modalities through the one shared classifier:
     mean over the N*T image features plus mean over the N video features."""

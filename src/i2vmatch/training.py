@@ -11,7 +11,6 @@ while the image branch learns from its features.
 
 from __future__ import annotations
 
-import ctypes
 import hashlib
 import json
 import math
@@ -30,6 +29,7 @@ from .autodiff import (
     backward,
     cross_entropy_mean,
     grad_check_params,
+    keep_heap,
     scaled_sq_diff,
 )
 from .data import (
@@ -59,7 +59,6 @@ from .losses import (
     batch_hard_triplet,
     distance_transfer_loss,  # uncalled here; perfbench's tracer patches this binding
     loss_terms,
-    sum_terms,
 )
 
 CHECKPOINT_FORMAT = "i2vmatch-checkpoint/1"
@@ -176,6 +175,16 @@ class RunConfig:
         given = {name: _section(name, d.pop(name, {}), kind) for name, kind in SECTIONS.items()}
         return cls(**{name: SECTIONS[name](**v) for name, v in given.items()}, **d)
 
+    @classmethod
+    def from_json(cls, text: str) -> "RunConfig":
+        """:meth:`from_dict` of a JSON text; nesting too deep for
+        ``json.loads`` is a ValueError too."""
+        try:
+            d = json.loads(text)
+        except RecursionError:
+            raise ValueError("JSON text is nested too deeply to read") from None
+        return cls.from_dict(d)
+
 
 def _fits(hint, value) -> bool:
     """Whether a JSON value has a config field's declared type. A bool is
@@ -216,14 +225,6 @@ def _section(name: str, given, kind) -> dict:
 
 def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-def parse_json(text: str):
-    """``json.loads``, with nesting too deep for its parser a ValueError too."""
-    try:
-        return json.loads(text)
-    except RecursionError:
-        raise ValueError("JSON text is nested too deeply to read") from None
 
 
 def config_digest(cfg: RunConfig) -> str:
@@ -311,22 +312,6 @@ class Adam:
         return bool(np.isfinite(self.data).all())
 
 
-def _keep_heap() -> bool:
-    """Have glibc keep freed memory for reuse; False where libc has no
-    ``mallopt``. Else a t=16 step's 512 KB distance matrices go back to the
-    kernel when freed and are faulted in afresh on the next step."""
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError, TypeError):
-        return False
-    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-    # both, as fixing only one threshold stops glibc adjusting the other,
-    # which faults more than leaving both alone
-    mmap_ok = mallopt(-3, 4 << 20)  # M_MMAP_THRESHOLD: blocks under 4 MiB from the heap
-    trim_ok = mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD: keep up to 64 MiB free on top
-    return mmap_ok == trim_ok == 1
-
-
 # ---------------------------------------------------------------------------
 # training loop
 # ---------------------------------------------------------------------------
@@ -378,7 +363,7 @@ def _run_phase(cfg: RunConfig, encoder: EncoderParams, optimizer: Adam, term_fn,
                 try:  # a numpy floating-point error or a non-finite loss
                     bf = BatchFeatures(*encode_clip_batch(batch.clips, encoder), batch.labels)
                     terms = term_fn(bf)
-                    total = sum_terms(terms)
+                    total = add_n(terms.values())
                     if not math.isfinite(value := total.item()):
                         raise FloatingPointError("non-finite loss")
                     backward(total)
@@ -401,14 +386,8 @@ def train(cfg: RunConfig) -> TrainResult:
     Batches are sampled from the dataset's train identities; with a
     held-out eval cohort configured, the retrieval queries and gallery
     never appear during training.
-
-    On glibc this sets the process-wide malloc thresholds (see
-    ``_keep_heap``) and leaves them set: the rest of the process keeps up to
-    64 MiB of freed heap. That is on purpose, as callers that time
-    ``train`` itself, ``perfbench`` among them, would otherwise fault the
-    step's temporaries in afresh on every call.
     """
-    _keep_heap()
+    keep_heap()
     result = _build(cfg)
     encoder, cls = result.encoder, result.classifier
     sampler = pk_batch_sampler(result.dataset, cfg.p, cfg.k, cfg.t, cfg.stride,
@@ -465,7 +444,7 @@ def load_checkpoint(path) -> TrainResult:
     if (len(lines) < 3 or not lines[1].startswith("config ")
             or not lines[2].startswith("digest ")):
         raise ValueError("malformed checkpoint header")
-    cfg = RunConfig.from_dict(parse_json(lines[1][len("config "):]))
+    cfg = RunConfig.from_json(lines[1][len("config "):])
     if lines[2][len("digest "):] != config_digest(cfg):
         raise ValueError("config digest mismatch: checkpoint was edited or corrupted")
     result = _build(cfg)
@@ -551,8 +530,8 @@ def _check_values(encoder, cls, clips, labels, cfg, h: Tensor) -> dict[str, Tens
     i, fr, v = encode_clip_batch(clips, encoder)
     terms = loss_terms(BatchFeatures(i, fr, v, labels), cls, cfg)
     return {**terms,
-            "tri_integrated": sum_terms({k: terms[k] for k in LOSS_SET_PRESETS["integrated-tri"]}),
-            "total": sum_terms(terms),
+            "tri_integrated": add_n(terms[k] for k in LOSS_SET_PRESETS["integrated-tri"]),
+            "total": add_n(terms.values()),
             "nonlocal_block": _sq_norm(nonlocal_forward(h, encoder.blocks[0])),
             "image_encoder": _sq_norm(i),
             "video_encoder": add_n([_sq_norm(fr), _sq_norm(v)])}

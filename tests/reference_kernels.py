@@ -34,7 +34,7 @@ from i2vmatch import autodiff as ad
 from i2vmatch.autodiff import ShapeError, Tensor
 from i2vmatch.data import SyntheticConfig, SyntheticDataset, VideoRecord
 from i2vmatch.encoders import encode_clip_batch, encode_image, encode_video, nonlocal_forward
-from i2vmatch.losses import BatchFeatures, loss_terms, sum_terms
+from i2vmatch.losses import BatchFeatures, loss_terms
 from i2vmatch.training import (ENCODER_CHECKS, EXTENDED_LOSS_CHECKS, LOSS_CHECKS,
                                LOSS_SET_PRESETS, CheckOutcome, _micro_setup, _sq_norm)
 
@@ -378,7 +378,7 @@ def _loss_fn_for(check: str, encoder, cls, clips, labels, cfg):
 
     def f():
         i, fr, v = encode_clip_batch(clips, encoder)
-        return sum_terms(loss_terms(BatchFeatures(i, fr, v, labels), cls, check_cfg))
+        return ad.add_n(loss_terms(BatchFeatures(i, fr, v, labels), cls, check_cfg).values())
     return f
 
 

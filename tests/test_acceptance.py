@@ -12,7 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from i2vmatch.autodiff import Tape, backward
+from i2vmatch.autodiff import Tape, add_n, backward
 from i2vmatch.encoders import encode_clip_batch, init_encoder_params, nonlocal_forward
 from i2vmatch.evaluation import (cmc, hit_matrix, mean_average_precision, rank_queries,
                                  GalleryIndex)
@@ -22,7 +22,6 @@ from i2vmatch.losses import (
     distance_transfer_loss,
     feature_transfer_loss,
     loss_terms,
-    sum_terms,
 )
 from i2vmatch.training import (
     _micro_setup,
@@ -75,7 +74,7 @@ def test_criterion_2_stop_gradient():
     encoder, cls, clips, labels, cfg_off = micro_batch(bp_to_video=False)
     with Tape():
         i, f, v = encode_clip_batch(clips, encoder)
-        loss = sum_terms(loss_terms(BatchFeatures(i, f, v, labels), cls, cfg_off))
+        loss = add_n(loss_terms(BatchFeatures(i, f, v, labels), cls, cfg_off).values())
         backward(loss)
     off_zero = all(p.grad is None or not p.grad.any()
                    for p in encoder.video_parameters().values())
@@ -83,7 +82,7 @@ def test_criterion_2_stop_gradient():
     encoder, cls, clips, labels, cfg_on = micro_batch(bp_to_video=True)
     with Tape():
         i, f, v = encode_clip_batch(clips, encoder)
-        loss = sum_terms(loss_terms(BatchFeatures(i, f, v, labels), cls, cfg_on))
+        loss = add_n(loss_terms(BatchFeatures(i, f, v, labels), cls, cfg_on).values())
         backward(loss)
     on_nonzero = any(p.grad is not None and p.grad.any()
                      for p in encoder.video_parameters().values())

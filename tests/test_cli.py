@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from i2vmatch.cli import LOSS_FLAG_FIELDS, RUN_FLAG_FIELDS, _load_config, build_parser, main
-from i2vmatch.losses import LossConfig
+from i2vmatch.losses import TERM_FLAGS, LossConfig
 from i2vmatch.training import (TEACHER_MODES, RunConfig, benchmark_config, canonical_json,
                                checkpoint_text, load_checkpoint)
 
@@ -860,3 +860,70 @@ def test_train_out_dir_in_the_way_of_a_file_exits_1_before_training(
     assert str(blocker) in err and "not a directory" in err
     assert blocker.read_text() == "kept\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "config.json"]
+
+
+@st.composite
+def consistent_configs(draw) -> dict:
+    """A config whose parts agree where ``RunConfig`` requires it: the
+    trunk's frame vector is the dataset's and the classifier has one class
+    per train identity. The rest is drawn freely, so a draw may still ask
+    for a batch shape or learning rate that cannot train."""
+    identities = draw(st.integers(3, 8))
+    held_out = draw(st.one_of(st.none(), st.integers(2, max(2, identities - 2))))
+    train_ids = identities - held_out if held_out else identities
+    grid = draw(st.booleans())
+    grid_hw = [draw(st.integers(1, 2)), draw(st.integers(1, 2))] if grid else [1, 1]
+    input_dim = draw(st.integers(1, 4))
+    lo = draw(st.integers(1, 12))
+    flags = {flag: draw(st.booleans()) for flag in TERM_FLAGS.values()}
+    flags[draw(st.sampled_from(sorted(flags)))] = True
+    return {
+        "synth": {"num_identities": identities, "num_eval_identities": held_out,
+                  "cameras_per_identity": draw(st.integers(2, 3)),
+                  "frames_per_video": [lo, lo + draw(st.integers(0, 8))],
+                  "input_dim": input_dim * grid_hw[0] * grid_hw[1],
+                  "seed": draw(st.integers(0, 3))},
+        "trunk": {"input_dim": input_dim, "use_spatial_grid": grid, "grid_hw": grid_hw,
+                  "hidden_dims": draw(st.lists(st.integers(1, 6), min_size=1, max_size=2)),
+                  "output_dim": draw(st.integers(1, 6))},
+        "loss": {"num_identities": train_ids, "margin": draw(st.sampled_from([0.0, 0.3])),
+                 "bp_to_video": draw(st.booleans()), **flags},
+        "num_nonlocal_blocks": draw(st.integers(0, 2)),
+        "p": draw(st.integers(2, 4)), "k": draw(st.integers(1, 3)),
+        "t": draw(st.integers(1, 4)), "stride": draw(st.integers(1, 5)),
+        "epochs": 1, "batches_per_epoch": draw(st.integers(1, 3)),
+        "learning_rate": draw(st.sampled_from([1e-3, 1e3, 1e300])),
+        "teacher_mode": draw(st.sampled_from(TEACHER_MODES)),
+        "eval_clip_len": draw(st.integers(1, 10)), "k_max": draw(st.integers(1, 8)),
+        "seed": draw(st.integers(0, 3)),
+    }
+
+
+def _run_cli(*argv: str) -> int:
+    """``main(argv)``; it warns nothing, and a failure prints exactly one line
+    and no traceback."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(list(argv))
+    if code == 0:
+        assert err.getvalue() == ""
+    else:
+        assert code in (1, 2) and "Traceback" not in err.getvalue(), err.getvalue()
+        assert len(err.getvalue().splitlines()) == 1, err.getvalue()
+    return code
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(cfg=consistent_configs(), protocol=st.sampled_from(["I2V", "I2I", "V2V"]),
+       which=st.sampled_from(["query", "gallery", "both"]))
+def test_train_then_eval_and_export_exit_cleanly(edit_dir, cfg, protocol, which):
+    config = edit_dir / "consistent.json"
+    config.write_text(json.dumps(cfg))
+    run = edit_dir / "run"
+    if _run_cli("train", "--config", str(config), "--out-dir", str(run)) == 0:
+        ckpt = str(run / "checkpoint.txt")
+        _run_cli("eval", "--checkpoint", ckpt, "--protocol", protocol)
+        _run_cli("export-features", "--checkpoint", ckpt, "--which", which,
+                 "--out", str(edit_dir / "features.txt"))

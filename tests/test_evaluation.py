@@ -12,7 +12,7 @@ from i2vmatch.encoders import TrunkConfig, encode_video, init_encoder_params
 from i2vmatch.evaluation import (
     GalleryIndex,
     MetricsReport,
-    build_index,
+    build_side,
     cmc,
     evaluate,
     extract_gallery_features,
@@ -407,7 +407,7 @@ def test_untrained_encoder_near_chance_level():
                                  num_blocks=1, seed=17)
     rep = run_protocol("I2V", ds, params, clip_len=8, k_max=10)
     # label-permutation null: shuffle gallery identities, recompute mAP
-    queries = build_index("image", ds.query, params, clip_len=8)
+    queries = build_side(ds, "query", "image", params, clip_len=8)
     gallery = extract_gallery_features(ds.gallery, params, clip_len=8)
     rankings = rank_queries(queries.features, gallery)
     q_ids = queries.identities
@@ -452,7 +452,7 @@ def multi_camera_cohort():
 
 def test_evaluate_builds_each_side_once(monkeypatch):
     ds, params = multi_camera_cohort()
-    calls = {"build_index": 0, "extract_gallery_features": 0}
+    calls = {"build_side": 0, "extract_gallery_features": 0}
     for name in calls:
         real = getattr(evaluation, name)
 
@@ -464,7 +464,14 @@ def test_evaluate_builds_each_side_once(monkeypatch):
     reports = evaluate(ds, params, clip_len=8, k_max=5)
     assert list(reports) == ["I2V", "I2I", "V2V"]
     # image and video sides of the query and of the gallery split
-    assert calls == {"build_index": 4, "extract_gallery_features": 2}
+    assert calls == {"build_side": 4, "extract_gallery_features": 2}
+
+
+def test_evaluate_keeps_freed_memory_for_reuse(monkeypatch):
+    calls = []
+    monkeypatch.setattr(evaluation, "keep_heap", lambda: calls.append(True))
+    evaluate(*multi_camera_cohort(), ("I2I",), clip_len=8, k_max=4)
+    assert calls == [True]
 
 
 @pytest.mark.parametrize("protocols", [("I2V", "I2I", "V2V"), ("V2V", "I2I", "I2V"),
@@ -497,6 +504,6 @@ def test_evaluate_rejects_unknown_protocol_before_encoding(monkeypatch, protocol
     def no_side(*args, **kwargs):
         raise AssertionError("a side was encoded")
 
-    monkeypatch.setattr(evaluation, "build_index", no_side)
+    monkeypatch.setattr(evaluation, "build_side", no_side)
     with pytest.raises(ValueError, match="unknown protocol"):
         evaluate(*multi_camera_cohort(), protocols, clip_len=8, k_max=4)

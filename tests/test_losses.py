@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from i2vmatch import autodiff as ad
 from i2vmatch import losses
-from i2vmatch.autodiff import Tape, Tensor, backward, grad_check_params
+from i2vmatch.autodiff import Tape, Tensor, add_n, backward, grad_check_params
 from i2vmatch.encoders import TrunkConfig, encode_clip_batch, init_encoder_params
 from i2vmatch.losses import (
     BatchFeatures,
@@ -16,7 +16,6 @@ from i2vmatch.losses import (
     distance_transfer_loss,
     feature_transfer_loss,
     loss_terms,
-    sum_terms,
 )
 
 TRIPLETS = ("tri_i2v", "tri_v2i", "tri_i2i", "tri_v2v")
@@ -228,14 +227,14 @@ def test_integrated_sums_enabled_terms():
     parts = loss_terms(bf, ClassifierParams.init(3, 2), c)
     assert set(parts) == set(TRIPLETS)
     want = sum(p.item() for p in parts.values())
-    assert sum_terms(parts).item() == pytest.approx(want, abs=1e-12)
+    assert add_n(parts.values()).item() == pytest.approx(want, abs=1e-12)
 
 
 def test_integrated_single_term_reduction():
     rng = np.random.default_rng(5)
     bf = random_bf(rng)
     only = cfg().with_terms(("tri_i2v",))
-    got = sum_terms(loss_terms(bf, ClassifierParams.init(3, 2), only)).item()
+    got = add_n(loss_terms(bf, ClassifierParams.init(3, 2), only).values()).item()
     want = batch_hard_triplet(bf.image_feats, bf.video_feats,
                               bf.frame_labels, bf.labels, only.margin).item()
     assert got == pytest.approx(want, abs=1e-15)
@@ -291,7 +290,7 @@ def test_total_zero_when_only_feature_transfer_and_identical():
     x = rng.standard_normal((4, 3))
     bf = make_bf(x, x.copy(), rng.standard_normal((2, 3)), [0, 1])
     only = cfg().with_terms(("transfer_feat",))
-    assert sum_terms(loss_terms(bf, ClassifierParams.init(3, 2), only)).item() == 0.0
+    assert add_n(loss_terms(bf, ClassifierParams.init(3, 2), only).values()).item() == 0.0
 
 
 def test_total_equals_sum_of_terms():
@@ -303,13 +302,14 @@ def test_total_equals_sum_of_terms():
     assert set(parts) == {"cls", "tri_i2v", "tri_v2i", "tri_i2i", "tri_v2v",
                           "transfer_feat", "transfer_dist"}
     want = sum(p.item() for p in parts.values())
-    assert sum_terms(parts).item() == pytest.approx(want, abs=1e-12)
+    assert add_n(parts.values()).item() == pytest.approx(want, abs=1e-12)
 
 
-def test_sum_terms_adds_left_to_right():
+def test_add_n_sums_terms_left_to_right():
     terms = {"a": Tensor(0.1), "b": Tensor(0.2), "c": Tensor(0.3)}
-    assert sum_terms(terms).item() == (0.1 + 0.2) + 0.3
-    assert sum_terms({}).item() == 0.0
+    assert add_n(terms.values()).item() == (0.1 + 0.2) + 0.3
+    # a generator is summed in the order it yields
+    assert add_n(terms[k] for k in ("c", "b", "a")).item() == (0.3 + 0.2) + 0.1
 
 
 def test_loss_terms_builds_each_distance_matrix_once(monkeypatch):
@@ -370,7 +370,8 @@ def test_total_loss_gradients_match_finite_differences(seed):
     params, cls, clips, labels, c = micro_setup(seed, bp_to_video=True)
     everything = {**params.named_parameters(), **cls.named_parameters()}
     errors = grad_check_params(
-        lambda: sum_terms(loss_terms(encoded_bf(params, clips, labels), cls, c)), everything)
+        lambda: add_n(loss_terms(encoded_bf(params, clips, labels), cls, c).values()),
+        everything)
     for name, err in errors.items():
         assert err <= 1e-4, (name, err)
 
@@ -396,7 +397,7 @@ def test_shared_distances_match_standalone_terms(seed):
                 p.zero_grad()
             terms = build(encoded_bf(params, clips, labels))
             values.append({n: terms[n].item() for n in names})
-            backward(sum_terms({n: terms[n] for n in names}))
+            backward(add_n(terms[n] for n in names))
             grads.append({k: p.grad.copy() for k, p in everything.items()
                           if p.grad is not None})
     assert values[0] == values[1]
@@ -410,7 +411,7 @@ def test_stop_gradient_contract():
     transfer_only = cfg(use_cls=False, use_i2v=False, use_v2i=False, use_i2i=False,
                         use_v2v=False, bp_to_video=False)
     bf = encoded_bf(params, clips, labels)
-    backward(sum_terms(loss_terms(bf, cls, transfer_only)))
+    backward(add_n(loss_terms(bf, cls, transfer_only).values()))
     for name, p in params.video_parameters().items():
         assert p.grad is None or not p.grad.any(), name
     for p in params.named_parameters().values():
@@ -419,7 +420,7 @@ def test_stop_gradient_contract():
     transfer_bp = cfg(use_cls=False, use_i2v=False, use_v2i=False, use_i2i=False,
                       use_v2v=False, bp_to_video=True)
     bf = encoded_bf(params, clips, labels)
-    backward(sum_terms(loss_terms(bf, cls, transfer_bp)))
+    backward(add_n(loss_terms(bf, cls, transfer_bp).values()))
     assert any(p.grad is not None and p.grad.any()
                for p in params.video_parameters().values())
 

@@ -9,11 +9,11 @@ import numpy as np
 import pytest
 
 from i2vmatch import autodiff, encoders, losses, training
-from i2vmatch.autodiff import NonFiniteError, Tape, Tensor, backward
+from i2vmatch.autodiff import NonFiniteError, Tape, Tensor, add_n, backward
 from i2vmatch.data import SyntheticConfig
 from i2vmatch.encoders import TrunkConfig, encode_clip_batch, init_encoder_params
 from i2vmatch.evaluation import PROTOCOLS
-from i2vmatch.losses import BatchFeatures, ClassifierParams, LossConfig, loss_terms, sum_terms
+from i2vmatch.losses import BatchFeatures, ClassifierParams, LossConfig, loss_terms
 from i2vmatch.training import (
     SECTIONS,
     Adam,
@@ -259,7 +259,7 @@ def _step_outputs(objective, encoder, params, clips, labels):
             p.zero_grad()
         i, f, v = encode_clip_batch(clips, encoder)
         terms = objective(BatchFeatures(i, f, v, labels))
-        backward(sum_terms(terms))
+        backward(add_n(terms.values()))
     return ({k: t.data.copy() for k, t in terms.items()},
             {k: p.grad.copy() for k, p in params.items() if p.grad is not None})
 
@@ -324,7 +324,7 @@ def test_step_records_22_tape_entries(monkeypatch, overrides):
 
 
 def test_t16_steps_fault_in_no_fresh_pages(monkeypatch):
-    if not training._keep_heap():
+    if not autodiff.keep_heap():
         pytest.skip("libc has no mallopt: freed step buffers cannot be kept for reuse")
     faults = []
     real = training.pk_batch_sampler
