@@ -81,8 +81,6 @@ def extract_gallery_features(videos: list[VideoRecord], params: EncoderParams,
     consecutive ``clip_len``-frame chunks, a short last one repeated
     cyclically. Clips of consecutive videos are encoded together, at most
     ``GALLERY_BATCH_POSITIONS`` positions per call, so memory stays bounded."""
-    if clip_len < 1:
-        raise ValueError("clip_len must be >= 1")
     lengths = np.array([v.length for v in videos], dtype=np.intp)
     counts = -(-lengths // clip_len)
     first = np.cumsum(counts) - counts  # each video's first clip

@@ -18,7 +18,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .autodiff import (
-    ShapeError,
     Tensor,
     add_n,
     cross_entropy_mean,
@@ -71,7 +70,8 @@ class BatchFeatures:
 
     Row (n, t) of ``image_feats`` and ``frame_feats`` encode the same
     physical frame, through the image and video networks respectively;
-    ``video_feats`` holds the temporally pooled clip features.
+    ``video_feats`` holds the temporally pooled clip features. The shapes
+    are those ``encode_clip_batch`` returns, and are not checked again.
     """
 
     image_feats: Tensor    # (N*T, D)
@@ -81,18 +81,6 @@ class BatchFeatures:
 
     def __post_init__(self):
         self.labels = np.asarray(self.labels, dtype=np.int64)
-        n_frames = self.image_feats.data.shape[0]
-        if self.frame_feats.data.shape != self.image_feats.data.shape:
-            raise ShapeError(
-                f"image/frame feature shapes disagree: "
-                f"{self.image_feats.data.shape} vs {self.frame_feats.data.shape}"
-            )
-        n = self.video_feats.data.shape[0]
-        if n == 0 or n_frames % n != 0:
-            raise ShapeError(
-                f"{n_frames} frame rows do not divide into {n} clips")
-        if self.labels.shape != (n,):
-            raise ShapeError(f"labels shape {self.labels.shape} != ({n},)")
 
     @property
     def frame_labels(self) -> np.ndarray:
@@ -130,12 +118,10 @@ def feature_transfer_loss(bf: BatchFeatures, bp_to_video: bool = False) -> Tenso
 def distance_transfer_loss(bf: BatchFeatures, bp_to_video: bool = False,
                            d_img: Tensor | None = None) -> Tensor:
     """Squared Frobenius mismatch of the two cross-sample distance matrices,
-    scaled by 1/(N*T). Depends only on pairwise distances, so it is blind
-    to any joint isometry of either feature set. ``d_img`` is the
-    image-image distance matrix when the caller has already built it."""
+    scaled by 1/(N*T); a single frame reads 0. Blind to any joint isometry
+    of either feature set, as it reads only pairwise distances. ``d_img`` is
+    the image-image distance matrix when the caller has already built it."""
     n_frames = bf.image_feats.data.shape[0]
-    if n_frames < 2:
-        raise ShapeError("distance matching needs at least two frames in the batch")
     target = _target(bf.frame_feats, bp_to_video)
     if d_img is None:
         d_img = pairwise_euclidean(bf.image_feats, bf.image_feats)
@@ -153,8 +139,6 @@ def _triplet_masks(anchor_labels, candidate_labels,
     positive = same.copy()
     negative = ~same
     if exclude_self:
-        if same.shape[0] != same.shape[1]:
-            raise ShapeError("exclude_self requires equally many anchors and candidates")
         np.fill_diagonal(positive, False)
     for kind, mask in (("positive", positive), ("negative", negative)):
         missing = ~mask.any(axis=1)
@@ -187,15 +171,11 @@ def batch_hard_triplet(
     anchor_labels: np.ndarray,
     candidate_labels: np.ndarray,
     margin: float,
-    exclude_self: bool = False,
 ) -> Tensor:
     """Mean hinge over anchors with the farthest positive and nearest
-    negative mined inside the batch.
-
-    ``exclude_self`` removes the diagonal pairing and must be set when
-    anchors and candidates are the same feature set.
-    """
-    masks = _triplet_masks(anchor_labels, candidate_labels, exclude_self)
+    negative mined inside the batch. When ``candidates is anchors`` (one
+    feature set against itself), no anchor is its own positive."""
+    masks = _triplet_masks(anchor_labels, candidate_labels, anchors is candidates)
     return _hardest_triplet(pairwise_euclidean(anchors, candidates), masks, margin)
 
 
@@ -235,7 +215,7 @@ def loss_terms(bf: BatchFeatures, cls: ClassifierParams, cfg: LossConfig) -> dic
     if cfg.use_i2i:
         terms["tri_i2i"] = _hardest_triplet(d_ii, _triplet_masks(fl, fl, exclude_self=True), m)
     if cfg.use_v2v:
-        terms["tri_v2v"] = batch_hard_triplet(v, v, cl, cl, m, exclude_self=True)
+        terms["tri_v2v"] = batch_hard_triplet(v, v, cl, cl, m)
     if cfg.use_transfer_feat:
         terms["transfer_feat"] = feature_transfer_loss(bf, cfg.bp_to_video)
     if cfg.use_transfer_dist:

@@ -347,8 +347,7 @@ def _video_phase_terms(bf: BatchFeatures, cls: ClassifierParams,
     terms = {"cls_vid": cross_entropy_mean(bf.video_feats, cls.w, bf.labels)}
     if len(bf.labels) >= 2:
         terms["tri_v2v"] = batch_hard_triplet(bf.video_feats, bf.video_feats,
-                                              bf.labels, bf.labels, cfg.margin,
-                                              exclude_self=True)
+                                              bf.labels, bf.labels, cfg.margin)
     return terms
 
 

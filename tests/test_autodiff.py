@@ -355,6 +355,18 @@ def test_gradcheck_group_attention(seed, group):
         assert err <= 1e-6, (name, err)
 
 
+def test_item_rejects_a_tensor_of_more_than_one_value():
+    with pytest.raises(ShapeError, match=r"^item\(\) on tensor of shape \(2,\)$"):
+        Tensor([1.0, 2.0]).item()
+    assert Tensor([[3.5]]).item() == 3.5
+
+
+@pytest.mark.parametrize("group", [4, 0])
+def test_mean_row_groups_rejects_rows_that_do_not_divide(group):
+    with pytest.raises(ShapeError, match=f"6 rows not divisible into groups of {group}$"):
+        mean_row_groups(Tensor(np.zeros((6, 2))), group)
+
+
 def test_group_attention_shape_errors():
     # the block attention runs inside nonlocal_block, which checks its groups
     rng = np.random.default_rng(13)

@@ -3,6 +3,8 @@ import contextlib
 import hashlib
 import io
 import json
+import runpy
+import sys
 import warnings
 from dataclasses import fields, is_dataclass, replace
 
@@ -368,6 +370,27 @@ def test_synth_rejects_scalar_in_tuple_field(tmp_path, capsys, section, key, val
     assert "wrong type" in assert_one_error_line(capsys)
 
 
+@pytest.mark.parametrize("section, edits, words", [
+    ("synth", {"input_dim": 0}, "input_dim must be positive"),
+    ("synth", {"prototype_rank": 0}, "prototype_rank must be in 1..input_dim"),
+    ("synth", {"prototype_rank": 7}, "prototype_rank must be in 1..input_dim"),
+    ("trunk", {"input_dim": 0}, "input_dim and output_dim must be positive"),
+    ("trunk", {"output_dim": 0}, "input_dim and output_dim must be positive"),
+    ("trunk", {"use_spatial_grid": True, "grid_hw": [0, 1]}, "grid extents must be positive"),
+    ("trunk", {"use_spatial_grid": True, "grid_hw": [1, 0]}, "grid extents must be positive"),
+    ("loss", {"num_identities": 0}, "num_identities must be positive"),
+])
+def test_synth_rejects_a_section_size_out_of_range(tmp_path, capsys, monkeypatch,
+                                                   section, edits, words):
+    _no_dataset(monkeypatch)
+    cfg = json.loads(tiny_config_file(tmp_path).read_text())
+    cfg[section].update(edits)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["synth", "--config", str(path), "--out", str(tmp_path / "d.txt")]) == 1
+    assert assert_one_error_line(capsys) == f"error: {words}\n"
+
+
 def test_synth_out_directory_exits_1(tmp_path, capsys):
     cfg = tiny_config_file(tmp_path)
     assert main(["synth", "--config", str(cfg), "--out", str(tmp_path)]) == 1
@@ -682,6 +705,23 @@ def test_train_rejects_negative_seed(tmp_path, capsys):
                  "--out-dir", str(run_dir)]) == 1
     assert "seed must be non-negative, got -1" in assert_one_error_line(capsys)
     assert not run_dir.exists()
+
+
+def test_gradcheck_failure_exits_2(capsys):
+    # no central difference matches its analytic gradient to a tolerance of 0
+    assert main(["gradcheck", "--scope", "losses", "--tol", "0"]) == 2
+    out, err = capsys.readouterr()
+    lines = out.splitlines()
+    assert err == "" and len(lines) == 7 and lines[-1] == "gradient checks FAILED"
+    assert all(line.startswith("FAIL ") for line in lines[:-1])
+
+
+def test_python_dash_m_runs_the_cli(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["i2vmatch", "synth", "--help"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("i2vmatch", run_name="__main__")
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: i2vmatch synth")
 
 
 def test_gradcheck_rejects_negative_seed(capsys):

@@ -431,6 +431,10 @@ def test_report_bookkeeping_and_validation():
         MetricsReport(protocol="X2X", cmc=[1.0], map=0.5, num_queries=1)
     with pytest.raises(ValueError):
         MetricsReport(protocol="V2V", cmc=[1.0], map=1.5, num_queries=1)
+    # the CMC may fall by rounding (1e-13), within a slack of 1e-12, and no more
+    MetricsReport(protocol="I2V", cmc=[0.5, 0.5 - 1e-13], map=0.5, num_queries=2)
+    with pytest.raises(ValueError, match="CMC must be non-decreasing"):
+        MetricsReport(protocol="I2V", cmc=[0.5, 0.5 - 1e-9], map=0.5, num_queries=2)
 
 
 def test_protocol_uses_right_encoders():

@@ -101,15 +101,10 @@ def test_distance_transfer_isometry_invariant():
     assert distance_transfer_loss(bf2).item() == pytest.approx(base, abs=1e-9)
 
 
-def test_distance_transfer_needs_two_frames():
-    bf = make_bf([[1.0, 2.0]], [[1.0, 2.0]], [[1.0, 2.0]], [0])
-    with pytest.raises(ad.ShapeError):
-        distance_transfer_loss(bf)
-
-
-def test_transfer_shape_mismatch_rejected():
-    with pytest.raises(ad.ShapeError):
-        make_bf(np.zeros((4, 3)), np.zeros((4, 2)), np.zeros((2, 3)), [0, 1])
+def test_distance_transfer_of_one_frame_is_zero():
+    # one frame has no pair to match, whatever its two features
+    bf = make_bf([[1.0, 2.0]], [[3.0, -1.0]], [[3.0, -1.0]], [0])
+    assert distance_transfer_loss(bf).item() == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -154,8 +149,8 @@ def test_triplet_matches_exhaustive_oracle(seed):
     got = batch_hard_triplet(Tensor(img), Tensor(vid), il, vl, 0.3).item()
     want = brute_force_batch_hard(img, vid, il, vl, 0.3)
     assert got == pytest.approx(want, abs=1e-12)
-    got_ii = batch_hard_triplet(Tensor(img), Tensor(img), il, il, 0.3,
-                                exclude_self=True).item()
+    x = Tensor(img)
+    got_ii = batch_hard_triplet(x, x, il, il, 0.3).item()
     want_ii = brute_force_batch_hard(img, img, il, il, 0.3, exclude_self=True)
     assert got_ii == pytest.approx(want_ii, abs=1e-12)
 
@@ -164,13 +159,13 @@ def test_triplet_missing_positive_names_identity():
     # identity 1 has a single clip: excluding the anchor leaves no positive
     x = Tensor([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
     with pytest.raises(ValueError, match="identity 1.*no positive"):
-        batch_hard_triplet(x, x, [0, 0, 1], [0, 0, 1], 0.3, exclude_self=True)
+        batch_hard_triplet(x, x, [0, 0, 1], [0, 0, 1], 0.3)
 
 
 def test_triplet_missing_negative_names_identity():
     x = Tensor([[0.0, 0.0], [1.0, 1.0]])
     with pytest.raises(ValueError, match="identity 7.*no negative"):
-        batch_hard_triplet(x, x, [7, 7], [7, 7], 0.3, exclude_self=True)
+        batch_hard_triplet(x, x, [7, 7], [7, 7], 0.3)
 
 
 def test_triplet_duplicating_nonhardest_candidate_is_noop():
@@ -283,6 +278,10 @@ def test_classification_label_out_of_range():
     bf.labels = np.array([0, 5])
     with pytest.raises(ValueError, match="label 5"):
         classification_loss(bf, cls)
+    # the first bad label is named, not a label 0 before it
+    bf.labels = np.array([0, -1])
+    with pytest.raises(ValueError, match=r"^label -1 out of range for 2 identities$"):
+        classification_loss(bf, cls)
 
 
 def test_total_zero_when_only_feature_transfer_and_identical():
@@ -386,8 +385,8 @@ def test_shared_distances_match_standalone_terms(seed):
         i, v, fl, cl = bf.image_feats, bf.video_feats, bf.frame_labels, bf.labels
         return {"tri_i2v": batch_hard_triplet(i, v, fl, cl, c.margin),
                 "tri_v2i": batch_hard_triplet(v, i, cl, fl, c.margin),
-                "tri_i2i": batch_hard_triplet(i, i, fl, fl, c.margin, exclude_self=True),
-                "tri_v2v": batch_hard_triplet(v, v, cl, cl, c.margin, exclude_self=True),
+                "tri_i2i": batch_hard_triplet(i, i, fl, fl, c.margin),
+                "tri_v2v": batch_hard_triplet(v, v, cl, cl, c.margin),
                 "transfer_dist": distance_transfer_loss(bf, c.bp_to_video)}
 
     values, grads = [], []

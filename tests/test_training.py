@@ -59,6 +59,22 @@ def test_lr_schedule_formula():
     np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
+def test_default_schedule_is_the_documented_one():
+    cfg = RunConfig()
+    assert (cfg.epochs, cfg.batches_per_epoch, cfg.lr_decay_every, cfg.lr_decay_factor) \
+        == (30, 50, 12, 0.1)
+    doc = " ".join(RunConfig.__doc__.split())
+    assert "30 epochs of 50 batches" in doc and "divided by 10 every 12 epochs" in doc
+
+
+def test_int64_bound_holds_minus_2_to_the_63():
+    # -2**63 fits an int64, and fails only the range check; one below does not fit
+    with pytest.raises(ValueError, match=r"^p must be >= 1$"):
+        RunConfig(p=-2**63)
+    with pytest.raises(ValueError, match=r"^run\.p is too large to convert to int64$"):
+        RunConfig(p=-2**63 - 1)
+
+
 def test_config_roundtrip_and_digest():
     cfg = tiny_config()
     back = RunConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
