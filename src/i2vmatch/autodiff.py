@@ -203,12 +203,15 @@ def affine(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
 
 def scaled_sq_diff(a: Tensor, b: Tensor, c: float) -> Tensor:
     """``c`` times the sum of squared entries of ``a - b``, for equal shapes:
-    one tape entry with the sub, frobenius_sq, scale chain's arithmetic. The
-    gradient of b is skipped when b needs none."""
+    one tape entry with the sub, frobenius_sq, scale chain's arithmetic, the
+    squares summed by one dot product per row, then over the rows: BLAS
+    splits a dot of over 10,000 entries across threads, whose count would
+    then move its last bit. The gradient of b is skipped when b needs none."""
     if a.data.shape != b.data.shape:
         raise ShapeError(f"scaled_sq_diff shapes disagree: {a.data.shape} vs {b.data.shape}")
     diff = a.data - b.data
-    out = Tensor(np.sum(diff * diff) * c)
+    rows = diff.reshape(-1, 1, diff.shape[-1])
+    out = Tensor((rows @ rows.transpose(0, 2, 1)).sum() * c)
 
     def bw(g):
         ga = 2.0 * float(g * c) * diff
@@ -218,12 +221,13 @@ def scaled_sq_diff(a: Tensor, b: Tensor, c: float) -> Tensor:
 
 
 def mean_row_groups(a: Tensor, group: int) -> Tensor:
-    """Average consecutive blocks of ``group`` rows: (G*group, n) -> (G, n)."""
+    """Average consecutive blocks of ``group`` rows: (G*group, n) -> (G, n),
+    each block summed by its product with a ones vector."""
     ad = _as2d(a, "mean_row_groups")
     m, n = ad.shape
     if group < 1 or m % group != 0:
         raise ShapeError(f"mean_row_groups: {m} rows not divisible into groups of {group}")
-    out = Tensor(ad.reshape(m // group, group, n).mean(axis=1))
+    out = Tensor(np.ones(group) @ ad.reshape(m // group, group, n) / group)
 
     def bw(g):
         return (np.repeat(g / group, group, axis=0),)
@@ -236,8 +240,11 @@ def nonlocal_block(x: Tensor, w_theta: Tensor, w_phi: Tensor, w_g: Tensor, w_z: 
     """Residual attention ``x + A(x w_theta, x w_phi, x w_g) w_z`` within
     consecutive blocks of ``group`` rows (all rows when None): row i of
     A(q, k, v) is sum_j softmax_j(q_i . k_j) v_j over the rows j of i's block.
-    One tape entry. The scores are key-major, and the value product with a
-    ones column also sums each query's weights, so one divide ends the softmax."""
+    One tape entry. The projections are one product, ``x @ [w_theta | w_phi |
+    w_g | 0]``, whose last column is then set to ones. The scores are
+    key-major, and the value product with that ones column also sums each
+    query's weights, so one divide ends the softmax. Backward makes one
+    product for the three weight gradients and one for the input's."""
     xd = _as2d(x, "nonlocal_block")
     wt, wp, wg, wz = (w.data for w in (w_theta, w_phi, w_g, w_z))
     (m, c), d, e = xd.shape, wt.shape[-1], wg.shape[-1]
@@ -248,11 +255,12 @@ def nonlocal_block(x: Tensor, w_theta: Tensor, w_phi: Tensor, w_g: Tensor, w_z: 
     if group < 1 or m % group != 0:
         raise ShapeError(f"nonlocal_block: {m} rows not divisible into groups of {group}")
     n = m // group
-    q3 = (xd @ wt).reshape(n, group, d)
-    k3 = (xd @ wp).reshape(n, group, d)
-    v1 = np.empty((n, group, e + 1))  # the values and a ones column
-    v1[..., e] = 1.0
-    np.matmul(xd, wg, out=v1.reshape(m, e + 1)[:, :e])
+    w = np.zeros((c, 2 * d + e + 1))
+    w[:, :d], w[:, d:2 * d], w[:, 2 * d:-1] = wt, wp, wg
+    proj = xd @ w
+    proj[:, -1] = 1.0
+    p3 = proj.reshape(n, group, -1)
+    q3, k3, v1 = p3[..., :d], p3[..., d:2 * d], p3[..., 2 * d:]  # v1: the values and ones
     # scores (n, key, query) stored key-outermost, so that the max over keys
     # and its subtraction run along whole contiguous rows
     ex = np.empty((group, n, group)).transpose(1, 0, 2)
@@ -269,15 +277,14 @@ def nonlocal_block(x: Tensor, w_theta: Tensor, w_phi: Tensor, w_g: Tensor, w_z: 
         g3 = (g @ wz.T).reshape(n, group, e)
         g_att = np.matmul(v1[..., :e], g3.transpose(0, 2, 1), out=np.empty_like(att))
         g_logits = att * (g_att - (g_att * att).sum(axis=1, keepdims=True))
-        g_q = (g_logits.transpose(0, 2, 1) @ k3).reshape(m, d)
-        g_k = (g_logits @ q3).reshape(m, d)
-        g_v = (att @ g3).reshape(m, e)
-        gx = None
-        if x.requires_grad:  # summed in the order the chain's backward adds
-            gx = g + g_v @ wg.T
-            gx += g_k @ wp.T
-            gx += g_q @ wt.T
-        return gx, xd.T @ g_q, xd.T @ g_k, xd.T @ g_v, mixed.T @ g
+        gp = np.zeros_like(p3)  # the projections' gradient; the ones column has none
+        np.matmul(g_logits.transpose(0, 2, 1), k3, out=gp[..., :d])
+        np.matmul(g_logits, q3, out=gp[..., d:2 * d])
+        np.matmul(att, g3, out=gp[..., 2 * d:-1])
+        gp = gp.reshape(m, -1)
+        gw = xd.T @ gp
+        gx = g + gp @ w.T if x.requires_grad else None
+        return gx, gw[:, :d], gw[:, d:2 * d], gw[:, 2 * d:-1], mixed.T @ g
 
     return _record(Tensor(out), (x, w_theta, w_phi, w_g, w_z), bw)
 
@@ -295,22 +302,21 @@ def pairwise_euclidean(x: Tensor, y: Tensor) -> Tensor:
         raise ShapeError(
             f"pairwise_euclidean feature dims disagree: {xd.shape} vs {yd.shape}"
         )
-    # one m*n buffer, in place: (|x|^2 + |y|^2) - 2 xy, clamp, + eps, sqrt
+    # one m*n buffer, in place: (|x|^2 + |y|^2) + x.(-2y), clamp, + eps, sqrt.
+    # The -2 scales the GEMM's right operand, exactly; that operand is a new
+    # C-order array, as numpy would run x @ x.T as SYRK
     nx = (xd * xd).sum(axis=1)
     ny = nx if y is x else (yd * yd).sum(axis=1)
     d = nx[:, None] + ny[None, :]
-    xy = xd @ np.ascontiguousarray(yd.T)  # GEMM: numpy runs x @ x.T as SYRK
-    xy *= 2.0
-    d -= xy
+    d += xd @ np.multiply(yd.T, -2.0, order="C")
     active = d > 0
-    _relu_in_place(d)
+    np.fmax(d, 0.0, out=d)  # a -0 it keeps reads eps once eps is added
     d += DISTANCE_EPS
     np.sqrt(d, out=d)
-    out = Tensor(d)
 
     def bw(g):
-        w = np.zeros_like(d)
-        np.divide(g, d, out=w, where=active)
+        w = g / d  # d >= sqrt(eps) > 0; zeroed where the clamp held
+        w[~active] = 0.0
         if y is x:  # both sides of w at once, without forming w + w.T
             s = w.sum(axis=1) + w.sum(axis=0)
             return (s[:, None] * xd - (w @ xd + w.T @ xd),)
@@ -318,7 +324,7 @@ def pairwise_euclidean(x: Tensor, y: Tensor) -> Tensor:
         gy = w.sum(axis=0)[:, None] * yd - w.T @ xd
         return gx, gy
 
-    return _record(out, (x,) if y is x else (x, y), bw)
+    return _record(Tensor(d), (x,) if y is x else (x, y), bw)
 
 
 def triplet_hinge_mean(dists: Tensor, pos, neg, margin: float) -> Tensor:

@@ -180,56 +180,50 @@ def generate_dataset(cfg: SyntheticConfig) -> SyntheticDataset:
     return SyntheticDataset(config=cfg, videos=videos)
 
 
-def sample_clip(video: VideoRecord, t: int, stride: int,
-                rng: np.random.Generator) -> tuple[np.ndarray, int]:
-    """Pick T frames with the given stride from a uniform random start.
-
-    Videos shorter than the required span of (T-1)*stride + 1 frames are
-    repeated cyclically until they cover it. Returns the clip and the
-    start index (in the possibly-repeated timeline).
-    """
-    if t < 1 or stride < 1:
-        raise ValueError("t and stride must be >= 1")
-    length = video.length
-    span = (t - 1) * stride + 1
-    # the start ranges over ceil(span / length) repeats of a short video
-    timeline = -(-span // length) * length if length < span else length
-    start = int(rng.integers(0, timeline - span + 1))
-    # reduce the stride first, so the int64 products cannot wrap at any stride
-    return video.frames[(start + stride % length * np.arange(t)) % length], start
-
-
 def pk_batch_sampler(dataset: SyntheticDataset, p: int, k: int, t: int,
                      stride: int, rng: np.random.Generator):
     """Endless stream of batches: P train identities, K clips each, T frames.
 
     Identities with fewer than K videos are sampled with replacement. Any
     K >= 1 is drawn as asked: ``training.RunConfig`` checks which batch
-    shapes the enabled loss terms can train on.
+    shapes the enabled loss terms can train on. Each clip takes T frames
+    with the given stride from a uniform random start; videos shorter than
+    the span of (T-1)*stride + 1 frames are repeated cyclically until they
+    cover it, and the start recorded in the provenance is in that
+    possibly-repeated timeline.
     """
+    if t < 1 or stride < 1:
+        raise ValueError("t and stride must be >= 1")
     by_identity: dict[int, list[VideoRecord]] = {}
     for v in dataset.train_videos:
         by_identity.setdefault(v.identity, []).append(v)
     idents = sorted(by_identity)
     if len(idents) < p:
         raise ValueError(f"dataset has {len(idents)} train identities, need P={p}")
+    span = (t - 1) * stride + 1
 
     def stream():
         while True:
             chosen = rng.choice(idents, size=p, replace=False)
-            clips, labels, prov = [], [], []
+            videos, starts = [], []
             for ident in chosen:
                 vids = by_identity[int(ident)]
-                replace = len(vids) < k
-                picks = rng.choice(len(vids), size=k, replace=replace)
-                for vi in picks:
+                for vi in rng.choice(len(vids), size=k, replace=len(vids) < k):
                     video = vids[int(vi)]
-                    clip, start = sample_clip(video, t, stride, rng)
-                    clips.append(clip)
-                    labels.append(video.identity)
-                    prov.append((video.identity, video.camera, start))
-            yield ClipBatch(clips=np.stack(clips), labels=np.asarray(labels),
-                            provenance=tuple(prov))
+                    # the start ranges over ceil(span / length) repeats of a short video
+                    n = video.length
+                    timeline = -(-span // n) * n if n < span else n
+                    starts.append(int(rng.integers(0, timeline - span + 1)))
+                    videos.append(video)
+            # every clip's rows at once; the stride is reduced in Python ints
+            # first, so the int64 products cannot wrap at any stride
+            lengths = np.array([v.length for v in videos])[:, None]
+            steps = np.array([stride % v.length for v in videos])[:, None]
+            rows = (np.array(starts)[:, None] + steps * np.arange(t)) % lengths
+            yield ClipBatch(clips=np.stack([v.frames[r] for v, r in zip(videos, rows)]),
+                            labels=np.asarray([v.identity for v in videos]),
+                            provenance=tuple((v.identity, v.camera, start)
+                                             for v, start in zip(videos, starts)))
 
     return stream()
 

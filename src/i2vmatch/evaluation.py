@@ -135,7 +135,8 @@ def cmc(hits: np.ndarray, k_max: int) -> list[float]:
     """top-k accuracy for k = 1..k_max from a :func:`hit_matrix`: the
     fraction of queries whose first correct match appears at rank <= k."""
     first = hits.argmax(axis=1)  # 0-based
-    return [float((first < k).mean()) for k in range(1, min(k_max, hits.shape[1]) + 1)]
+    # one cumulative count of first hits: each fraction is an exact integer over the queries
+    return (np.cumsum(np.bincount(first, minlength=hits.shape[1]))[:k_max] / len(first)).tolist()
 
 
 def mean_average_precision(hits: np.ndarray) -> float:

@@ -12,6 +12,7 @@ temporal modelling the image branch is supposed to inherit.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -148,6 +149,27 @@ def _triplet_masks(anchor_labels, candidate_labels,
     return positive, negative
 
 
+def _term_masks(kind: str, clip_labels: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_triplet_masks` of the ``kind`` term, "i2v", "v2i" or "i2i", for
+    clips labelled ``clip_labels`` of ``t`` frames each."""
+    frames = np.repeat(clip_labels, t)
+    sides = {"i2v": (frames, clip_labels), "v2i": (clip_labels, frames), "i2i": (frames, frames)}
+    return _triplet_masks(*sides[kind], exclude_self=kind == "i2i")
+
+
+@functools.lru_cache(maxsize=8)
+def _pattern_masks(kind: str, pattern: bytes, t: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_term_masks` for every batch whose clips have the label
+    equality pattern ``pattern``, the bytes of ``cl[:, None] == cl[None, :]``,
+    each clip labelled by the index of the first clip of its identity.
+    Read-only, as every such batch gets the same arrays."""
+    n = math.isqrt(len(pattern))
+    masks = _term_masks(kind, np.frombuffer(pattern, dtype=bool).reshape(n, n).argmax(axis=1), t)
+    for mask in masks:
+        mask.flags.writeable = False
+    return masks
+
+
 def _hardest_triplet(dists: Tensor, masks: tuple[np.ndarray, np.ndarray],
                      margin: float, by_column: bool = False) -> Tensor:
     """Mean hinge over the anchors of a distance matrix, with the farthest
@@ -196,10 +218,19 @@ def loss_terms(bf: BatchFeatures, cls: ClassifierParams, cfg: LossConfig) -> dic
 
     Each distance matrix is built once: i2v mines the image-video matrix
     by rows and v2i by columns, and the image-image one serves both tri_i2i
-    and the distance-transfer loss."""
+    and the distance-transfer loss. The i2v, v2i and i2i masks are built
+    once per label equality pattern, which every P*K batch shares."""
     i, v = bf.image_feats, bf.video_feats
-    fl, cl = bf.frame_labels, bf.labels
-    m = cfg.margin
+    cl = bf.labels
+    t, m = i.data.shape[0] // len(cl), cfg.margin
+    pattern = (cl[:, None] == cl[None, :]).tobytes()
+
+    def masks(kind):
+        try:
+            return _pattern_masks(kind, pattern, t)
+        except ValueError:  # raised again from the labels, naming the identity, not its stand-in
+            return _term_masks(kind, cl, t)
+
     terms: dict[str, Tensor] = {}
     if cfg.use_cls:
         terms["cls"] = classification_loss(bf, cls)
@@ -209,11 +240,11 @@ def loss_terms(bf: BatchFeatures, cls: ClassifierParams, cfg: LossConfig) -> dic
         d_iv = pairwise_euclidean(i, v)
     if cfg.use_i2v:
         # an image anchor's own clip counts as a positive
-        terms["tri_i2v"] = _hardest_triplet(d_iv, _triplet_masks(fl, cl), m)
+        terms["tri_i2v"] = _hardest_triplet(d_iv, masks("i2v"), m)
     if cfg.use_v2i:
-        terms["tri_v2i"] = _hardest_triplet(d_iv, _triplet_masks(cl, fl), m, by_column=True)
+        terms["tri_v2i"] = _hardest_triplet(d_iv, masks("v2i"), m, by_column=True)
     if cfg.use_i2i:
-        terms["tri_i2i"] = _hardest_triplet(d_ii, _triplet_masks(fl, fl, exclude_self=True), m)
+        terms["tri_i2i"] = _hardest_triplet(d_ii, masks("i2i"), m)
     if cfg.use_v2v:
         terms["tri_v2v"] = batch_hard_triplet(v, v, cl, cl, m)
     if cfg.use_transfer_feat:

@@ -2,25 +2,35 @@
 
 The training-step kernels appear as they were before they were fused or
 rewritten in place: ``affine`` as the matmul, add, relu chain,
-``nonlocal_block`` as three projection matmuls, ``group_attention`` with
+``nonlocal_block`` as one projection matmul against the weights side by
+side with a zero column, ``x @ [w_theta | w_phi | w_g | 0]``, cut into
+queries, keys and values by ``columns``, then ``group_attention`` with
 its out-of-place key-major softmax normalised through the value product,
 the output matmul and the residual add, ``pairwise_euclidean`` out of
 place with the same GEMM and self-form backward as the package's,
 ``add_n`` as a chain of adds, ``scaled_sq_diff`` as the sub,
-frobenius_sq, scale chain and ``cross_entropy_mean`` as the logits matmul
-followed by the log_softmax_rows, gather, mean_all, scale(-1) chain. The
-equivalence tests require the package's kernels to match them bit for
-bit, value and gradient. ``split_into_clips`` is the per-video clip split
-that gallery extraction once called, kept as the oracle for its
-vectorized frame rows, and ``generate_dataset`` is the per-frame loop
-the synthetic generator ran before its arithmetic moved to one pass per
-video, kept as its byte oracle. The primitives that only tests use live
-here too: ``matmul``, ``add``, ``sub``, ``relu``, ``shift``, ``scale``,
-``frobenius_sq``, ``mean_all``, ``gather`` and ``log_softmax_rows``,
-which build the unfused chains, ``transpose``, ``square`` and
-``sum_all``, which build scalar test objectives, and ``softmax_rows``,
-the plain row softmax that ``group_attention`` and ``nonlocal_block`` are
-checked against within bounds.
+frobenius_sq (one dot product per row, then their sum), scale chain and
+``cross_entropy_mean`` as the logits matmul followed by the
+log_softmax_rows, gather, mean_all, scale(-1) chain. The equivalence
+tests require the package's kernels to match them bit for bit, value and
+gradient. ``nonlocal_block_three_products`` and
+``scaled_sq_diff_elementwise`` are the arithmetic those two kernels had
+before their projections became one product and their squares row dot
+products; the drift tests hold the package within bounds of them.
+``split_into_clips`` is the per-video clip split that gallery extraction
+once called, kept as the oracle for its vectorized frame rows,
+``generate_dataset`` is the per-frame loop the synthetic generator ran
+before its arithmetic moved to one pass per video, and
+``pk_batch_sampler`` is the batch stream that computed each clip's rows
+as it drew the clip (``sample_clip``), before the rows of a batch became
+one expression; each is kept as its byte oracle. The primitives that
+only tests use live here too: ``matmul``, ``add``, ``sub``, ``relu``,
+``shift``, ``scale``, ``frobenius_sq``, ``mean_all``, ``gather``,
+``log_softmax_rows``, ``concat_columns`` and ``columns``, which build
+the unfused chains, ``transpose``, ``square`` and ``sum_all``, which
+build scalar test objectives, and ``softmax_rows``, the plain row
+softmax that ``group_attention`` and ``nonlocal_block`` are checked
+against within bounds.
 ``grad_check`` is the one-tensor form of ``grad_check_params`` that the
 primitive gradient tests call, and ``gradcheck_suite`` is the gradient
 suite as it ran before one sweep checked every output: one objective and
@@ -32,7 +42,7 @@ import numpy as np
 
 from i2vmatch import autodiff as ad
 from i2vmatch.autodiff import ShapeError, Tensor
-from i2vmatch.data import SyntheticConfig, SyntheticDataset, VideoRecord
+from i2vmatch.data import ClipBatch, SyntheticConfig, SyntheticDataset, VideoRecord
 from i2vmatch.encoders import encode_clip_batch, encode_image, encode_video, nonlocal_forward
 from i2vmatch.losses import BatchFeatures, loss_terms
 from i2vmatch.training import (ENCODER_CHECKS, EXTENDED_LOSS_CHECKS, LOSS_CHECKS,
@@ -63,7 +73,20 @@ def scale(a: Tensor, c: float) -> Tensor:
 
 
 def frobenius_sq(a: Tensor) -> Tensor:
-    """Sum of squared entries (squared Frobenius norm)."""
+    """Sum of squared entries (squared Frobenius norm): one dot product per
+    row of the last axis, then the sum of those."""
+    rows = a.data.reshape(-1, a.data.shape[-1])
+    out = Tensor(np.array([r[None, :] @ r[:, None] for r in rows]).sum())
+
+    def bw(g):
+        return (2.0 * float(g) * a.data,)
+
+    return ad._record(out, (a,), bw)
+
+
+def frobenius_sq_elementwise(a: Tensor) -> Tensor:
+    """Sum of squared entries as ``np.sum`` of the squares: the arithmetic
+    ``scaled_sq_diff`` had before it summed row dot products."""
     out = Tensor(np.sum(a.data * a.data))
 
     def bw(g):
@@ -221,8 +244,46 @@ def affine(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
 where_relu = relu  # affine's ``relu`` flag shadows the function inside it
 
 
+def concat_columns(*parts: Tensor) -> Tensor:
+    """2-d tensors side by side; each part's gradient is its own columns."""
+    bounds = np.cumsum([0] + [t.data.shape[1] for t in parts])
+    out = Tensor(np.concatenate([t.data for t in parts], axis=1))
+
+    def bw(g):
+        return tuple(g[:, lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:]))
+
+    return ad._record(out, parts, bw)
+
+
+def columns(a: Tensor, lo: int, hi: int) -> Tensor:
+    """Columns ``lo`` to ``hi - 1`` of a 2-d tensor, copied; the gradient is
+    zero in the other columns."""
+    out = Tensor(a.data[:, lo:hi].copy())
+
+    def bw(g):
+        ga = np.zeros_like(a.data)
+        ga[:, lo:hi] = g
+        return (ga,)
+
+    return ad._record(out, (a,), bw)
+
+
 def nonlocal_block(x: Tensor, w_theta: Tensor, w_phi: Tensor, w_g: Tensor, w_z: Tensor,
                    group: int | None = None) -> Tensor:
+    """The projections as one product, ``x @ [w_theta | w_phi | w_g | 0]``,
+    cut into the queries, keys and values."""
+    group = x.data.shape[0] if group is None else group
+    d, e = w_theta.data.shape[1], w_g.data.shape[1]
+    w = concat_columns(w_theta, w_phi, w_g, Tensor(np.zeros((x.data.shape[1], 1))))
+    proj = matmul(x, w)
+    q, k, v = (columns(proj, lo, hi) for lo, hi in ((0, d), (d, 2 * d), (2 * d, 2 * d + e)))
+    return add(matmul(group_attention(q, k, v, group), w_z), x)
+
+
+def nonlocal_block_three_products(x: Tensor, w_theta: Tensor, w_phi: Tensor, w_g: Tensor,
+                                  w_z: Tensor, group: int | None = None) -> Tensor:
+    """The projections as three products: the arithmetic ``nonlocal_block``
+    had before it made them one."""
     group = x.data.shape[0] if group is None else group
     theta = matmul(x, w_theta)
     phi = matmul(x, w_phi)
@@ -273,6 +334,10 @@ def scaled_sq_diff(a: Tensor, b: Tensor, c: float) -> Tensor:
     return scale(frobenius_sq(sub(a, b)), c)
 
 
+def scaled_sq_diff_elementwise(a: Tensor, b: Tensor, c: float) -> Tensor:
+    return scale(frobenius_sq_elementwise(sub(a, b)), c)
+
+
 def cross_entropy_mean(x: Tensor, w: Tensor, labels) -> Tensor:
     logits = matmul(x, w)
     n = logits.data.shape[0]
@@ -292,6 +357,41 @@ def split_into_clips(frames: np.ndarray, clip_len: int) -> list[np.ndarray]:
     last = clips[-1]  # the one chunk that may be short
     clips[-1] = np.tile(last, (-(-clip_len // len(last)), 1))[:clip_len]
     return clips
+
+
+def sample_clip(video: VideoRecord, t: int, stride: int,
+                rng: np.random.Generator) -> tuple[np.ndarray, int]:
+    """One clip's start and rows, drawn and computed for that clip alone."""
+    if t < 1 or stride < 1:
+        raise ValueError("t and stride must be >= 1")
+    length = video.length
+    span = (t - 1) * stride + 1
+    timeline = -(-span // length) * length if length < span else length
+    start = int(rng.integers(0, timeline - span + 1))
+    return video.frames[(start + stride % length * np.arange(t)) % length], start
+
+
+def pk_batch_sampler(dataset: SyntheticDataset, p: int, k: int, t: int,
+                     stride: int, rng: np.random.Generator):
+    """The batch stream with each clip's rows computed as it is drawn."""
+    by_identity: dict[int, list[VideoRecord]] = {}
+    for v in dataset.train_videos:
+        by_identity.setdefault(v.identity, []).append(v)
+    idents = sorted(by_identity)
+    while True:
+        chosen = rng.choice(idents, size=p, replace=False)
+        clips, labels, prov = [], [], []
+        for ident in chosen:
+            vids = by_identity[int(ident)]
+            picks = rng.choice(len(vids), size=k, replace=len(vids) < k)
+            for vi in picks:
+                video = vids[int(vi)]
+                clip, start = sample_clip(video, t, stride, rng)
+                clips.append(clip)
+                labels.append(video.identity)
+                prov.append((video.identity, video.camera, start))
+        yield ClipBatch(clips=np.stack(clips), labels=np.asarray(labels),
+                        provenance=tuple(prov))
 
 
 @np.errstate(over="ignore", invalid="ignore")  # VideoRecord rejects what overflows

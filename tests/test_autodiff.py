@@ -589,6 +589,41 @@ def test_pairwise_euclidean_matches_reference_expression(form):
                       leaves)
 
 
+def _assert_near(build, reference, leaves, upstream=1.0):
+    """Values within 1e-14 of the largest, and each leaf's gradient within
+    1e-12 of its largest entry: the drift a rewritten sum may bring."""
+    got, got_grads = _value_and_grads(build, leaves, upstream)
+    want, want_grads = _value_and_grads(reference, leaves, upstream)
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    for g, w in zip(got_grads, want_grads):
+        assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
+
+
+@pytest.mark.parametrize("form", ["self", "two-input"])
+def test_pairwise_euclidean_at_coincident_rows_raises_no_floating_point_error(form):
+    # every row of y repeats a row of x: the distance is at least sqrt(eps),
+    # and the backward divides by it without an error of any kind
+    rng = np.random.default_rng(24)
+    x = Tensor(rng.standard_normal((64, 16)), requires_grad=True)
+    y = x if form == "self" else Tensor(x.data[::-2].copy(), requires_grad=True)
+    w = Tensor(rng.standard_normal((y.data.shape[0], 3)))
+    with np.errstate(all="raise"):
+        d = pairwise_euclidean(x, y).data
+        value, grads = _value_and_grads(lambda: sum_all(matmul(pairwise_euclidean(x, y), w)),
+                                        [x] if y is x else [x, y], 1.0)
+    assert np.isfinite(d).all() and (d >= np.sqrt(ad.DISTANCE_EPS)).all()
+    assert np.isfinite(value).all() and all(np.isfinite(g).all() for g in grads)
+
+
+@pytest.mark.parametrize("shape", [(256, 256), (256, 16), (64, 64)])
+def test_scaled_sq_diff_is_near_the_elementwise_sum(shape):
+    rng = np.random.default_rng(23)
+    a = Tensor(rng.standard_normal(shape), requires_grad=True)
+    b = Tensor(rng.standard_normal(shape), requires_grad=True)
+    _assert_near(lambda: ad.scaled_sq_diff(a, b, 0.3),
+                 lambda: ref.scaled_sq_diff_elementwise(a, b, 0.3), [a, b])
+
+
 def _nonlocal_leaves(rng, rows, channels, inner, scale=1.0):
     """An input and the four weights of a block; ``scale`` stretches the
     query projection, and with it the attention logits."""
@@ -628,6 +663,18 @@ def test_nonlocal_block_matches_unfused_chain(rows, group, x_grad):
     _assert_same_bits(lambda: sum_all(matmul(nonlocal_block(*leaves, group), w)),
                       lambda: sum_all(matmul(ref.nonlocal_block(*leaves, group), w)),
                       grads, upstream=-0.7)
+
+
+@pytest.mark.parametrize("rows, group, scale", [(256, 16, 1.0), (64, 4, 1.0), (12, None, 1.0),
+                                                (96, 32, 30.0)],
+                         ids=["t16", "t4", "all-rows", "peaked"])
+def test_nonlocal_block_is_near_the_three_products_chain(rows, group, scale):
+    rng = np.random.default_rng(rows)
+    leaves = _nonlocal_leaves(rng, rows, 24, 12, scale)
+    w = Tensor(rng.standard_normal((24, 3)))
+    _assert_near(lambda: sum_all(matmul(nonlocal_block(*leaves, group), w)),
+                 lambda: sum_all(matmul(ref.nonlocal_block_three_products(*leaves, group), w)),
+                 leaves)
 
 
 def _softmax_rows_block(x, w_theta, w_phi, w_g, w_z):

@@ -12,7 +12,6 @@ from i2vmatch.data import (
     VideoRecord,
     generate_dataset,
     pk_batch_sampler,
-    sample_clip,
     save_dataset,
 )
 from i2vmatch.encoders import TrunkConfig, encode_clip_batch, encode_image, init_encoder_params
@@ -193,6 +192,13 @@ def test_config_validation():
 # clip sampling
 # ---------------------------------------------------------------------------
 
+def sample_clip(video, t, stride, rng):
+    """One clip of ``video`` and its start, drawn by ``pk_batch_sampler``
+    from a dataset holding that video alone."""
+    batch = next(pk_batch_sampler(SyntheticDataset(quiet_cfg(), [video]), 1, 1, t, stride, rng))
+    return batch.clips[0], batch.provenance[0][2]
+
+
 def test_sample_clip_stride_indices():
     video = VideoRecord(0, 0, np.arange(40, dtype=float)[:, None])
     for trial in range(200):
@@ -320,6 +326,23 @@ def test_mining_precondition_p2k2():
     for i, ident in enumerate(labels):
         others = np.delete(labels, i)
         assert (others == ident).any() and (others != ident).any()
+
+
+@pytest.mark.parametrize("stride", [8, 2**62, 10**20])
+@pytest.mark.parametrize("k", [2, 3], ids=["k-2", "k-3-with-replacement"])
+def test_pk_batches_match_the_per_clip_sampler(stride, k):
+    # videos of 3 to 9 frames, shorter than the span at every stride, so
+    # clips repeat them cyclically; 2 videos per identity, so K=3 draws
+    # with replacement
+    ds = generate_dataset(quiet_cfg(num_identities=6, frames_per_video=(3, 9)))
+    for t in (1, 4):
+        got = pk_batch_sampler(ds, 3, k, t, stride, np.random.default_rng(t))
+        want = ref.pk_batch_sampler(ds, 3, k, t, stride, np.random.default_rng(t))
+        for a, b in itertools.islice(zip(got, want), 6):
+            np.testing.assert_array_equal(ref.bits(a.clips), ref.bits(b.clips))
+            assert a.labels.dtype == b.labels.dtype
+            np.testing.assert_array_equal(a.labels, b.labels)
+            assert a.provenance == b.provenance
 
 
 # ---------------------------------------------------------------------------

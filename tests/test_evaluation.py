@@ -257,6 +257,21 @@ def test_cmc_matches_first_hit_oracle():
         np.testing.assert_allclose(got, want)
 
 
+@pytest.mark.parametrize("n_q", [1, 7, 150])
+def test_cmc_equals_the_per_rank_mean_bit_for_bit(n_q):
+    # each fraction is an exact count over the queries, however it is counted
+    rng = np.random.default_rng(n_q)
+    n_g = 40
+    gallery_ids = rng.integers(0, 5, size=n_g)
+    query_ids = rng.choice(gallery_ids, size=n_q)
+    rankings = np.stack([rng.permutation(n_g) for _ in range(n_q)])
+    hits = hit_matrix(rankings, query_ids, gallery_ids)
+    first = hits.argmax(axis=1)
+    for k_max in (1, 13, n_g, 10**20):
+        want = [float((first < k).mean()) for k in range(1, min(k_max, n_g) + 1)]
+        assert cmc(hits, k_max) == want
+
+
 def test_cmc_query_without_match_errors():
     rankings = np.array([[0, 1]])
     with pytest.raises(ValueError, match="query 0"):

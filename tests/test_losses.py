@@ -168,6 +168,57 @@ def test_triplet_missing_negative_names_identity():
         batch_hard_triplet(x, x, [7, 7], [7, 7], 0.3)
 
 
+def _terms_with_fresh_masks(bf, margin):
+    """The three frame-level triplet terms, mined with masks built afresh
+    by ``_triplet_masks`` from the batch's own labels."""
+    i, v, fl, cl = bf.image_feats, bf.video_feats, bf.frame_labels, bf.labels
+    d_iv, d_ii = ad.pairwise_euclidean(i, v), ad.pairwise_euclidean(i, i)
+    mine = losses._hardest_triplet
+    return {"tri_i2v": mine(d_iv, losses._triplet_masks(fl, cl), margin),
+            "tri_v2i": mine(d_iv, losses._triplet_masks(cl, fl), margin, by_column=True),
+            "tri_i2i": mine(d_ii, losses._triplet_masks(fl, fl, True), margin)}
+
+
+@pytest.mark.parametrize("labels", [[4, 4, 9, 9], [3, 3, 5, 9, 9, 9]],
+                         ids=["p2k2", "uneven"])
+def test_cached_masks_mine_as_fresh_ones(labels):
+    # the uneven pattern is no P*K batch's; each batch runs twice, so the
+    # second run reads the masks the first one cached
+    rng = np.random.default_rng(len(labels))
+    bf = random_bf(rng, n=len(labels), t=3, d=4)
+    bf.labels = np.asarray(labels)
+    c = cfg(use_cls=False, use_v2v=False, use_transfer_feat=False, use_transfer_dist=False)
+    want = _terms_with_fresh_masks(bf, c.margin)
+    for _ in range(2):
+        got = loss_terms(bf, None, c)
+        assert got.keys() == want.keys()
+        for name in want:
+            assert got[name].data.tobytes() == want[name].data.tobytes(), name
+
+
+def test_cached_masks_are_read_only():
+    bf = random_bf(np.random.default_rng(0), n=4, t=2)
+    loss_terms(bf, None, cfg(use_cls=False))
+    pattern = (bf.labels[:, None] == bf.labels[None, :]).tobytes()
+    for kind in ("i2v", "v2i", "i2i"):
+        for mask in losses._pattern_masks(kind, pattern, 2):
+            with pytest.raises(ValueError, match="read-only"):
+                mask[0, 0] = not mask[0, 0]
+
+
+@pytest.mark.parametrize("missing_ident", [1, 6])
+def test_batch_lacking_a_positive_names_its_identity_after_the_cache_fills(missing_ident):
+    # one-frame clips: an identity with a single clip has no i2i positive
+    rng = np.random.default_rng(missing_ident)
+    c = cfg(use_cls=False)
+    loss_terms(random_bf(rng, n=4, t=1), None, c)  # a valid batch fills the cache
+    bf = random_bf(rng, n=3, t=1)
+    bf.labels = np.asarray([8, 8, missing_ident])
+    for _ in range(2):  # no exception is cached: the second batch raises alike
+        with pytest.raises(ValueError, match=f"identity {missing_ident} has no positive"):
+            loss_terms(bf, None, c)
+
+
 def test_triplet_duplicating_nonhardest_candidate_is_noop():
     rng = np.random.default_rng(9)
     anchors = Tensor(rng.standard_normal((2, 3)))
