@@ -204,14 +204,13 @@ def affine(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
 def scaled_sq_diff(a: Tensor, b: Tensor, c: float) -> Tensor:
     """``c`` times the sum of squared entries of ``a - b``, for equal shapes:
     one tape entry with the sub, frobenius_sq, scale chain's arithmetic, the
-    squares summed by one dot product per row, then over the rows: BLAS
-    splits a dot of over 10,000 entries across threads, whose count would
-    then move its last bit. The gradient of b is skipped when b needs none."""
+    squares summed per row by ``np.vecdot``, then over the rows: BLAS splits
+    a dot of over 10,000 entries across threads, whose count would then move
+    its last bit. The gradient of b is skipped when b needs none."""
     if a.data.shape != b.data.shape:
         raise ShapeError(f"scaled_sq_diff shapes disagree: {a.data.shape} vs {b.data.shape}")
     diff = a.data - b.data
-    rows = diff.reshape(-1, 1, diff.shape[-1])
-    out = Tensor((rows @ rows.transpose(0, 2, 1)).sum() * c)
+    out = Tensor(np.vecdot(diff, diff).sum() * c)
 
     def bw(g):
         ga = 2.0 * float(g * c) * diff

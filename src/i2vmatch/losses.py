@@ -12,7 +12,6 @@ temporal modelling the image branch is supposed to inherit.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -149,24 +148,24 @@ def _triplet_masks(anchor_labels, candidate_labels,
     return positive, negative
 
 
+_TERM_MASKS: dict[tuple[str, bytes, int], tuple[np.ndarray, np.ndarray]] = {}
+
+
 def _term_masks(kind: str, clip_labels: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_triplet_masks` of the ``kind`` term, "i2v", "v2i" or "i2i", for
-    clips labelled ``clip_labels`` of ``t`` frames each."""
-    frames = np.repeat(clip_labels, t)
-    sides = {"i2v": (frames, clip_labels), "v2i": (clip_labels, frames), "i2i": (frames, frames)}
-    return _triplet_masks(*sides[kind], exclude_self=kind == "i2i")
-
-
-@functools.lru_cache(maxsize=8)
-def _pattern_masks(kind: str, pattern: bytes, t: int) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_term_masks` for every batch whose clips have the label
-    equality pattern ``pattern``, the bytes of ``cl[:, None] == cl[None, :]``,
-    each clip labelled by the index of the first clip of its identity.
-    Read-only, as every such batch gets the same arrays."""
-    n = math.isqrt(len(pattern))
-    masks = _term_masks(kind, np.frombuffer(pattern, dtype=bool).reshape(n, n).argmax(axis=1), t)
-    for mask in masks:
-        mask.flags.writeable = False
+    """:func:`_triplet_masks` of the ``kind`` term, "i2v" or "i2i", for clips
+    labelled ``clip_labels`` of ``t`` frames each; kept read-only per label
+    equality pattern, which P*K batches share, 8 at most. A miss builds them
+    from the batch's own labels, so a missing candidate names its identity."""
+    key = (kind, (clip_labels[:, None] == clip_labels[None, :]).tobytes(), t)
+    masks = _TERM_MASKS.get(key)
+    if masks is None:
+        frames = np.repeat(clip_labels, t)
+        masks = _triplet_masks(frames, clip_labels if kind == "i2v" else frames, kind == "i2i")
+        for mask in masks:
+            mask.flags.writeable = False
+        if len(_TERM_MASKS) >= 8:
+            _TERM_MASKS.clear()
+        _TERM_MASKS[key] = masks
     return masks
 
 
@@ -174,8 +173,9 @@ def _hardest_triplet(dists: Tensor, masks: tuple[np.ndarray, np.ndarray],
                      margin: float, by_column: bool = False) -> Tensor:
     """Mean hinge over the anchors of a distance matrix, with the farthest
     positive and nearest negative of each. The anchors are its rows, or its
-    columns with ``by_column``; ``masks`` have one row per anchor."""
-    positive, negative = masks
+    columns with ``by_column``. ``masks`` match the matrix, one row per row,
+    and are transposed with it by column: the v2i masks are the i2v ones."""
+    positive, negative = (m.T for m in masks) if by_column else masks
     d = dists.data.T if by_column else dists.data
     # mining is a data-dependent selection; gradients flow through the
     # selected entries only (first index wins ties, deterministically)
@@ -218,19 +218,11 @@ def loss_terms(bf: BatchFeatures, cls: ClassifierParams, cfg: LossConfig) -> dic
 
     Each distance matrix is built once: i2v mines the image-video matrix
     by rows and v2i by columns, and the image-image one serves both tri_i2i
-    and the distance-transfer loss. The i2v, v2i and i2i masks are built
-    once per label equality pattern, which every P*K batch shares."""
+    and the distance-transfer loss. The i2v and i2i masks come from
+    :func:`_term_masks`; v2i mines the i2v masks by column."""
     i, v = bf.image_feats, bf.video_feats
     cl = bf.labels
     t, m = i.data.shape[0] // len(cl), cfg.margin
-    pattern = (cl[:, None] == cl[None, :]).tobytes()
-
-    def masks(kind):
-        try:
-            return _pattern_masks(kind, pattern, t)
-        except ValueError:  # raised again from the labels, naming the identity, not its stand-in
-            return _term_masks(kind, cl, t)
-
     terms: dict[str, Tensor] = {}
     if cfg.use_cls:
         terms["cls"] = classification_loss(bf, cls)
@@ -240,11 +232,11 @@ def loss_terms(bf: BatchFeatures, cls: ClassifierParams, cfg: LossConfig) -> dic
         d_iv = pairwise_euclidean(i, v)
     if cfg.use_i2v:
         # an image anchor's own clip counts as a positive
-        terms["tri_i2v"] = _hardest_triplet(d_iv, masks("i2v"), m)
+        terms["tri_i2v"] = _hardest_triplet(d_iv, _term_masks("i2v", cl, t), m)
     if cfg.use_v2i:
-        terms["tri_v2i"] = _hardest_triplet(d_iv, masks("v2i"), m, by_column=True)
+        terms["tri_v2i"] = _hardest_triplet(d_iv, _term_masks("i2v", cl, t), m, by_column=True)
     if cfg.use_i2i:
-        terms["tri_i2i"] = _hardest_triplet(d_ii, masks("i2i"), m)
+        terms["tri_i2i"] = _hardest_triplet(d_ii, _term_masks("i2i", cl, t), m)
     if cfg.use_v2v:
         terms["tri_v2v"] = batch_hard_triplet(v, v, cl, cl, m)
     if cfg.use_transfer_feat:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from i2vmatch import autodiff as ad
@@ -170,12 +170,13 @@ def test_triplet_missing_negative_names_identity():
 
 def _terms_with_fresh_masks(bf, margin):
     """The three frame-level triplet terms, mined with masks built afresh
-    by ``_triplet_masks`` from the batch's own labels."""
+    by ``_triplet_masks`` from the batch's own labels; v2i mines the i2v
+    masks by column."""
     i, v, fl, cl = bf.image_feats, bf.video_feats, bf.frame_labels, bf.labels
     d_iv, d_ii = ad.pairwise_euclidean(i, v), ad.pairwise_euclidean(i, i)
-    mine = losses._hardest_triplet
-    return {"tri_i2v": mine(d_iv, losses._triplet_masks(fl, cl), margin),
-            "tri_v2i": mine(d_iv, losses._triplet_masks(cl, fl), margin, by_column=True),
+    mine, i2v = losses._hardest_triplet, losses._triplet_masks(fl, cl)
+    return {"tri_i2v": mine(d_iv, i2v, margin),
+            "tri_v2i": mine(d_iv, i2v, margin, by_column=True),
             "tri_i2i": mine(d_ii, losses._triplet_masks(fl, fl, True), margin)}
 
 
@@ -199,11 +200,45 @@ def test_cached_masks_mine_as_fresh_ones(labels):
 def test_cached_masks_are_read_only():
     bf = random_bf(np.random.default_rng(0), n=4, t=2)
     loss_terms(bf, None, cfg(use_cls=False))
-    pattern = (bf.labels[:, None] == bf.labels[None, :]).tobytes()
-    for kind in ("i2v", "v2i", "i2i"):
-        for mask in losses._pattern_masks(kind, pattern, 2):
+    for kind in ("i2v", "i2i"):
+        for mask in losses._term_masks(kind, bf.labels, 2):
             with pytest.raises(ValueError, match="read-only"):
                 mask[0, 0] = not mask[0, 0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(0, 3), min_size=1, max_size=7), st.integers(1, 3))
+@example([5, 5, 5], 2)
+def test_v2i_masks_are_the_i2v_masks_transposed(labels, t):
+    # any label set, P*K or uneven; with one identity both lack a negative
+    cl = np.asarray(labels)
+    fl = np.repeat(cl, t)
+    if len(set(labels)) > 1:
+        for v2i, i2v in zip(losses._triplet_masks(cl, fl), losses._triplet_masks(fl, cl)):
+            assert np.array_equal(v2i, i2v.T)
+        return
+    message = f"^anchor of identity {labels[0]} has no negative candidate in batch$"
+    for anchors, candidates in ((cl, fl), (fl, cl)):
+        with pytest.raises(ValueError, match=message):
+            losses._triplet_masks(anchors, candidates)
+
+
+def test_term_mask_memo_stays_bounded():
+    # ten distinct equality patterns over four clips, each kept under two kinds
+    patterns = [[0, 1, 2, 3], [0, 0, 1, 1], [0, 1, 0, 1], [0, 1, 1, 0], [0, 0, 1, 2],
+                [0, 1, 1, 2], [0, 1, 2, 2], [0, 1, 0, 2], [0, 1, 2, 0], [0, 1, 2, 1]]
+    losses._TERM_MASKS.clear()
+    for labels in patterns:
+        for kind in ("i2v", "i2i"):
+            losses._term_masks(kind, np.asarray(labels), 2)
+            assert len(losses._TERM_MASKS) <= 8
+    first = np.asarray(patterns[0]) + 7  # the first pattern, under other labels
+    assert ("i2v", (first[:, None] == first[None, :]).tobytes(), 2) not in losses._TERM_MASKS
+    fl = np.repeat(first, 2)
+    for got, want in zip(losses._term_masks("i2v", first, 2), losses._triplet_masks(fl, first)):
+        assert np.array_equal(got, want)
+    for got, want in zip(losses._term_masks("i2i", first, 2), losses._triplet_masks(fl, fl, True)):
+        assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("missing_ident", [1, 6])
